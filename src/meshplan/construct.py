@@ -35,6 +35,16 @@ class ConstructionInfeasibleError(Exception):
     """No feasible solution produced within the retry budget."""
 
 
+#: Failures of one rebuild attempt; every retry loop discards the attempt
+#: and draws again. ValueError covers an unreachable gateway count.
+REBUILD_FAILURES = (
+    ChannelAssignmentError,
+    ConstructionInfeasibleError,
+    RoutingInfeasibleError,
+    ValueError,
+)
+
+
 def place_access_points(
     partial: Solution, instance: PlanningInstance, rng: np.random.Generator
 ) -> Solution:
@@ -283,7 +293,7 @@ def construct_feasible(
         partial = Solution.empty(instance)
         try:
             candidate = rebuild_pipeline(partial, instance, rng, gateway_count)
-        except (ChannelAssignmentError, RoutingInfeasibleError, ValueError) as exc:
+        except REBUILD_FAILURES as exc:
             last = str(exc)
             continue
         report = check_constraints(candidate, instance)

@@ -1,91 +1,53 @@
-"""Hot numeric kernels: numba-compiled with pure-Python/numpy twins.
+"""Numeric kernels: BFS hop counts, Pareto filtering, crowding distance, CSR.
 
-Set MESHPLAN_NUMBA=0 to force the fallback path. Both paths compute the same
-arithmetic in the same order, so results are bitwise identical.
+Plain numpy/Python, one implementation each. Archive bytes depend on the
+exact floating-point summation order of `crowding_distance_kernel` and on
+the ascending neighbor order of `adjacency_csr`; keep both when editing.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 UNREACHABLE = -1
 
-
-def _use_numba() -> bool:
-    flag = os.environ.get("MESHPLAN_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
+# Read by perfbench/run.py for its machine stamp and kernel-path metric.
+NUMBA_ENABLED = False
 
 
-def bfs_hops_py(indptr, indices, source, n):
+def bfs_hops(indptr, indices, source, n):
     """Hop counts from source over a CSR adjacency; UNREACHABLE where cut off."""
-    dist = np.full(n, UNREACHABLE, dtype=np.int32)
-    queue = np.empty(n, dtype=np.int32)
+    indptr, indices = indptr.tolist(), indices.tolist()
+    dist = [UNREACHABLE] * n
     dist[source] = 0
-    queue[0] = source
-    head, tail = 0, 1
-    while head < tail:
-        u = queue[head]
-        head += 1
-        du = dist[u]
-        for p in range(indptr[u], indptr[u + 1]):
-            v = indices[p]
+    queue = [int(source)]
+    for u in queue:  # the queue grows while it is walked
+        du = dist[u] + 1
+        for v in indices[indptr[u]:indptr[u + 1]]:
             if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                queue[tail] = v
-                tail += 1
-    return dist
+                dist[v] = du
+                queue.append(v)
+    return np.array(dist, dtype=np.int32)
 
 
-def bfs_hops_multi_py(indptr, indices, sources, n):
-    """One BFS row per source; self-contained so the jitted twin can compile it."""
-    m = len(sources)
-    out = np.empty((m, n), dtype=np.int32)
-    queue = np.empty(n, dtype=np.int32)
-    for i in range(m):
-        dist = out[i, :]
-        dist[:] = UNREACHABLE
-        src = sources[i]
-        dist[src] = 0
-        queue[0] = src
-        head, tail = 0, 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            for p in range(indptr[u], indptr[u + 1]):
-                v = indices[p]
-                if dist[v] == UNREACHABLE:
-                    dist[v] = du + 1
-                    queue[tail] = v
-                    tail += 1
+def bfs_hops_multi(indptr, indices, sources, n):
+    """One `bfs_hops` row per source, stacked into an (len(sources), n) array."""
+    out = np.empty((len(sources), n), dtype=np.int32)
+    for i, src in enumerate(sources):
+        out[i] = bfs_hops(indptr, indices, src, n)
     return out
 
 
-def pareto_mask_py(values):
+def pareto_mask(values):
     """Mask of non-dominated rows (minimization, strict dominance)."""
-    m, d = values.shape
-    mask = np.ones(m, dtype=np.bool_)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            le = True
-            lt = False
-            for k in range(d):
-                if values[j, k] > values[i, k]:
-                    le = False
-                    break
-                if values[j, k] < values[i, k]:
-                    lt = True
-            if le and lt:
-                mask[i] = False
-                break
+    mask = np.ones(values.shape[0], dtype=np.bool_)
+    for i, row in enumerate(values):
+        dominators = ~(values > row).any(axis=1) & (values < row).any(axis=1)
+        mask[i] = not dominators.any()
     return mask
 
 
-def crowding_distance_py(values):
+def crowding_distance_kernel(values):
     """Crowding distance per row; boundary rows per objective get +inf.
 
     Interior contribution per objective is the normalized neighbor gap;
@@ -98,40 +60,13 @@ def crowding_distance_py(values):
         return cd
     for k in range(d):
         order = np.argsort(values[:, k], kind="mergesort")
+        col = values[order, k]
         cd[order[0]] = np.inf
-        cd[order[m - 1]] = np.inf
-        spread = values[order[m - 1], k] - values[order[0], k]
+        cd[order[-1]] = np.inf
+        spread = col[-1] - col[0]
         if spread > 0.0:
-            for r in range(1, m - 1):
-                lo = values[order[r - 1], k]
-                hi = values[order[r + 1], k]
-                cd[order[r]] += (hi - lo) / spread
+            cd[order[1:-1]] += (col[2:] - col[:-2]) / spread
     return cd
-
-
-NUMBA_ENABLED = False
-if _use_numba():
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-    if njit is not None:
-        bfs_hops_jit = njit(cache=True)(bfs_hops_py)
-        bfs_hops_multi_jit = njit(cache=True)(bfs_hops_multi_py)
-        pareto_mask_jit = njit(cache=True)(pareto_mask_py)
-        crowding_distance_jit = njit(cache=True)(crowding_distance_py)
-        NUMBA_ENABLED = True
-
-if NUMBA_ENABLED:
-    bfs_hops = bfs_hops_jit
-    bfs_hops_multi = bfs_hops_multi_jit
-    pareto_mask = pareto_mask_jit
-    crowding_distance_kernel = crowding_distance_jit
-else:
-    bfs_hops = bfs_hops_py
-    bfs_hops_multi = bfs_hops_multi_py
-    pareto_mask = pareto_mask_py
-    crowding_distance_kernel = crowding_distance_py
 
 
 def adjacency_csr(adj: np.ndarray):
@@ -140,12 +75,7 @@ def adjacency_csr(adj: np.ndarray):
     Neighbor lists come out in ascending index order, which downstream
     tie-breaking relies on.
     """
-    n = adj.shape[0]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    cols = []
-    for u in range(n):
-        row = np.flatnonzero(adj[u]).astype(np.int32)
-        cols.append(row)
-        indptr[u + 1] = indptr[u] + len(row)
-    indices = np.concatenate(cols) if cols else np.empty(0, dtype=np.int32)
-    return indptr, indices.astype(np.int32)
+    indptr = np.zeros(adj.shape[0] + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.count_nonzero(adj, axis=1))
+    indices = np.nonzero(adj)[1].astype(np.int32)
+    return indptr, indices

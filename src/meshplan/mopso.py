@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import (
-    ChannelAssignmentError,
-    construct_feasible,
-    rebuild_pipeline,
-)
-from .flow import RoutingInfeasibleError
+from .construct import REBUILD_FAILURES, construct_feasible, rebuild_pipeline
 from .instance import PlanningInstance
 from .kernels import crowding_distance_kernel
 from .model import (
@@ -88,12 +83,10 @@ class MopsoConfig:
 
 @dataclass
 class Particle:
-    """Current solution plus the best it has personally produced."""
+    """A particle's current solution and its objective vector."""
 
     current: Solution
     objectives: np.ndarray
-    best: Solution
-    best_objectives: np.ndarray
 
 
 @dataclass
@@ -217,7 +210,7 @@ def mutate_solution(
                 work.gateway[targets[rng.integers(len(targets))]] = 1
         try:
             rebuilt = rebuild_pipeline(work, instance, rng, gateway_count)
-        except (ChannelAssignmentError, RoutingInfeasibleError, ValueError):
+        except REBUILD_FAILURES:
             continue
         if check_constraints(rebuilt, instance).feasible:
             return rebuilt
@@ -324,7 +317,7 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
             instance, rng, config.max_retries, config.gateway_count
         )
         vec = evaluate(sol, instance, config.variant, config.coverage_mode)
-        particles.append(Particle(sol, vec, sol, vec))
+        particles.append(Particle(sol, vec))
         admit(sol, vec)
     stats.append(_generation_stats(1, archive, names))
 
@@ -363,12 +356,8 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
             results = [step(i) for i in range(config.swarm_size)]
 
         for i, (mutated, vec) in enumerate(results):
-            particle = particles[i]
-            particle.current = mutated
-            particle.objectives = vec
-            if dominates(vec, particle.best_objectives):
-                particle.best = mutated
-                particle.best_objectives = vec
+            particles[i].current = mutated
+            particles[i].objectives = vec
             admit(mutated, vec)
         stats.append(_generation_stats(g, archive, names))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import assert_feasible, make_square_instance
+from conftest import assert_feasible, make_line_instance, make_square_instance
 from meshplan.construct import (
     ChannelAssignmentError,
     ConstructionInfeasibleError,
@@ -276,3 +276,12 @@ def test_construct_gives_up_when_hopeless():
     )
     with pytest.raises(ConstructionInfeasibleError):
         construct_feasible(inst, np.random.default_rng(0), max_retries=5)
+
+
+def test_construct_retries_past_backbone_failure():
+    # two sites can never give a node two backbone neighbors, so every
+    # attempt fails in connect_backbone; the loop must spend its budget
+    inst = make_line_instance(2)
+    with pytest.raises(ConstructionInfeasibleError, match="in 3 attempts") as err:
+        construct_feasible(inst, np.random.default_rng(0), max_retries=3)
+    assert "degree 2" in str(err.value)

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import assert_feasible
+from conftest import assert_feasible, make_line_instance
 from meshplan.model import Solution, check_constraints, dominates, evaluate
 from meshplan.mopso import (
     MopsoConfig,
@@ -129,6 +129,17 @@ def test_mutation_full_rate_changes_plan(standard_instance, rng):
     assert feas
     # either mutation succeeded with a different plan or fell back to base
     assert not np.array_equal(out.ap, base.ap) or out is base
+
+
+def test_mutation_falls_back_past_backbone_failure():
+    # every rebuild on two sites fails in connect_backbone
+    inst = make_line_instance(2)
+    base = Solution.empty(inst)
+    base.ap[0] = 1
+    out = mutate_solution(
+        base, base, inst, np.random.default_rng(0), mut=0.0, retries=2
+    )
+    assert out is base
 
 
 def test_config_validation():
