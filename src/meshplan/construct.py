@@ -56,30 +56,38 @@ def place_access_points(
     order while capacity lasts. DPs whose covering sites are all full or
     nonexistent stay unassigned.
     """
-    a = coverage_matrix(instance)
+    covers = coverage_matrix(instance) == 1
     traffic = instance.dp_traffic
+    traffic_list = traffic.tolist()
     loads = partial.site_loads(instance)
     unassigned = partial.x.sum(axis=1) == 0
+    remaining = np.where(partial.ap == 1, instance.C_max - loads, instance.C_max)
+    fits = covers & unassigned[:, None] & (
+        traffic[:, None] <= remaining[None, :] + FEAS_TOL
+    )
     while True:
-        remaining = np.where(
-            partial.ap == 1, instance.C_max - loads, instance.C_max
-        )
-        fits = (a == 1) & unassigned[:, None] & (
-            traffic[:, None] <= remaining[None, :] + FEAS_TOL
-        )
         candidates = np.flatnonzero(fits.any(axis=0))
         if len(candidates) == 0:
             break
         pick = int(candidates[rng.integers(len(candidates))])
         partial.relay[pick] = 0
         partial.ap[pick] = 1
-        budget = instance.C_max - loads[pick]
-        for i in np.flatnonzero(fits[:, pick]):
-            if traffic[i] <= budget + FEAS_TOL:
-                partial.x[i, pick] = 1
-                budget -= traffic[i]
-                loads[pick] += traffic[i]
-                unassigned[i] = False
+        load = float(loads[pick])
+        budget = instance.C_max - load
+        assigned = []
+        for i in np.flatnonzero(fits[:, pick]).tolist():
+            if traffic_list[i] <= budget + FEAS_TOL:
+                assigned.append(i)
+                budget -= traffic_list[i]
+                load += traffic_list[i]
+        partial.x[assigned, pick] = 1
+        loads[pick] = load
+        unassigned[assigned] = False
+        # Only the pick's remaining capacity and the assigned DPs changed.
+        fits[assigned, :] = False
+        fits[:, pick] = covers[:, pick] & unassigned & (
+            traffic <= instance.C_max - load + FEAS_TOL
+        )
     return partial
 
 
@@ -89,58 +97,52 @@ def place_relays(partial: Solution, instance: PlanningInstance) -> Solution:
     Neighbors are probed north, east, south, west; sites already installed
     count toward the target.
     """
-    for ap in np.flatnonzero(partial.ap == 1):
-        target = RELAY_TARGET.get(classify_site(instance, int(ap)), 4)
-        neighbors = grid_neighbors(instance, int(ap))
+    z = partial.z.tolist()
+    for ap in np.flatnonzero(partial.ap == 1).tolist():
+        target = RELAY_TARGET.get(classify_site(instance, ap), 4)
+        neighbors = grid_neighbors(instance, ap)
         target = min(target, len(neighbors))
-        installed = sum(1 for nb in neighbors if partial.z[nb])
+        installed = sum(1 for nb in neighbors if z[nb])
         for nb in neighbors:
             if installed >= target:
                 break
-            if not partial.z[nb]:
+            if not z[nb]:
                 partial.relay[nb] = 1
+                z[nb] = 1
                 installed += 1
     return partial
 
 
-def _components(installed: np.ndarray, b: np.ndarray) -> list[list[int]]:
-    nodes = [int(v) for v in np.flatnonzero(installed)]
+def _components(z: list, nbrs: list) -> list[list[int]]:
     seen = set()
     comps = []
-    for start in nodes:
-        if start in seen:
+    for start in range(len(z)):
+        if not z[start] or start in seen:
             continue
         comp = [start]
         seen.add(start)
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in np.flatnonzero(b[u]):
-                v = int(v)
-                if installed[v] and v not in seen:
+        for u in comp:  # breadth-first: comp grows while it is walked
+            for v in nbrs[u]:
+                if z[v] and v not in seen:
                     seen.add(v)
                     comp.append(v)
-                    queue.append(v)
         comps.append(sorted(comp))
     return comps
 
 
-def _shortest_join(sources: list[int], targets: set[int], b: np.ndarray) -> list[int]:
+def _shortest_join(sources: list[int], targets: set[int], nbrs: list) -> list[int]:
     """BFS over all sites from sources; path to the nearest target node."""
-    n = b.shape[0]
-    parent = np.full(n, -2, dtype=np.int64)
-    queue = list(sources)
+    parent = [-2] * len(nbrs)
     for v in sources:
         parent[v] = -1
-    while queue:
-        u = queue.pop(0)
+    queue = list(sources)
+    for u in queue:  # the queue grows while it is walked
         if u in targets:
             path = [u]
             while parent[path[-1]] != -1:
-                path.append(int(parent[path[-1]]))
+                path.append(parent[path[-1]])
             return path[::-1]
-        for v in np.flatnonzero(b[u]):
-            v = int(v)
+        for v in nbrs[u]:
             if parent[v] == -2:
                 parent[v] = u
                 queue.append(v)
@@ -156,33 +158,43 @@ def connect_backbone(partial: Solution, instance: PlanningInstance) -> Solution:
     already-valid solutions untouched.
     """
     b = connectivity_matrix(instance)
-    if partial.z.sum() == 0:
+    z = partial.z.tolist()
+    if not any(z):
         return partial
+    nbrs = [[] for _ in z]  # ascending neighbor lists of the connectivity graph
+    for u, v in zip(*(axis.tolist() for axis in np.nonzero(b))):
+        nbrs[u].append(v)
+
+    def install_relay(v):
+        partial.relay[v] = 1
+        z[v] = 1
+
     while True:
-        comps = _components(partial.z, b)
+        comps = _components(z, nbrs)
         if len(comps) <= 1:
             break
         comps.sort(key=lambda c: c[0])
         rest = set()
         for comp in comps[1:]:
             rest.update(comp)
-        path = _shortest_join(comps[0], rest, b)
-        for v in path:
-            if not partial.z[v]:
-                partial.relay[v] = 1
+        for v in _shortest_join(comps[0], rest, nbrs):
+            if not z[v]:
+                install_relay(v)
     while True:
-        degrees = (b * partial.z[None, :])[partial.z == 1].sum(axis=1)
-        deficient = np.flatnonzero(partial.z == 1)[degrees < 2]
-        if len(deficient) == 0:
+        deficient = [
+            v for v in range(len(z))
+            if z[v] == 1 and sum(z[nb] for nb in nbrs[v]) < 2
+        ]
+        if not deficient:
             break
         progressed = False
         for v in deficient:
-            need = 2 - int((b[v] * partial.z).sum())
-            for nb in np.flatnonzero(b[v]):
+            need = 2 - sum(z[nb] for nb in nbrs[v])
+            for nb in nbrs[v]:
                 if need <= 0:
                     break
-                if not partial.z[nb]:
-                    partial.relay[nb] = 1
+                if not z[nb]:
+                    install_relay(nb)
                     need -= 1
                     progressed = True
         if not progressed:
@@ -231,26 +243,32 @@ def assign_channels(partial: Solution, instance: PlanningInstance) -> Solution:
     """
     b = connectivity_matrix(instance)
     installed = np.flatnonzero(partial.z == 1)
-    degree = {int(j): 0 for j in installed}
-    used = {int(j): set() for j in installed}
-    for ji, j in enumerate(installed):
-        for l in installed[ji + 1:]:
-            j, l = int(j), int(l)
-            if not b[j, l]:
+    sites = installed.tolist()
+    rows, cols = np.nonzero(b[installed[:, None], installed])
+    degree = {j: 0 for j in sites}
+    used = {j: set() for j in sites}
+    heads, tails, chans = [], [], []
+    # Connected installed pairs in increasing (j, l) order, j < l.
+    for p, q in zip(rows.tolist(), cols.tolist()):
+        if q <= p:
+            continue
+        j, l = sites[p], sites[q]
+        if degree[j] >= instance.R or degree[l] >= instance.R:
+            continue
+        for k in range(instance.K):
+            if k in used[j] or k in used[l]:
                 continue
-            if degree[j] >= instance.R or degree[l] >= instance.R:
-                continue
-            for k in range(instance.K):
-                if k in used[j] or k in used[l]:
-                    continue
-                partial.L[j, l, k] = 1
-                partial.w[j, k] = 1
-                partial.w[l, k] = 1
-                degree[j] += 1
-                degree[l] += 1
-                used[j].add(k)
-                used[l].add(k)
-                break
+            heads.append(j)
+            tails.append(l)
+            chans.append(k)
+            degree[j] += 1
+            degree[l] += 1
+            used[j].add(k)
+            used[l].add(k)
+            break
+    partial.L[heads, tails, chans] = 1
+    partial.w[heads, chans] = 1
+    partial.w[tails, chans] = 1
     lonely = [j for j in degree if degree[j] < 2]
     if lonely:
         raise ChannelAssignmentError(

@@ -74,19 +74,20 @@ def literal_flow_balance(solution: Solution, instance: PlanningInstance, j: int)
 
 
 def _lex_shortest_path(indptr, indices, dist_from_gw, site, gateway):
-    """Walk downhill from site to gateway, smallest neighbor index first."""
+    """Walk downhill from site to gateway, smallest neighbor index first.
+
+    Every argument is a Python list; each step visits a node one hop closer
+    to the gateway than the last, so a hop-bounded dist_from_gw suffices.
+    """
     path = [site]
     cur = site
     while cur != gateway:
-        step = dist_from_gw[cur]
-        nxt = -1
-        for p in range(indptr[cur], indptr[cur + 1]):
-            v = indices[p]
-            if dist_from_gw[v] == step - 1:
-                nxt = v
+        want = dist_from_gw[cur] - 1
+        for v in indices[indptr[cur]:indptr[cur + 1]]:
+            if dist_from_gw[v] == want:
                 break
-        path.append(int(nxt))
-        cur = int(nxt)
+        path.append(v)
+        cur = v
     return path
 
 
@@ -103,29 +104,36 @@ def route_flows(
     demand site has no admissible path.
     """
     s = instance.num_sites
+    A = instance.A
     out = solution.copy()
-    caps = instance.link_capacities()
     loads = out.site_loads(instance)
 
-    # Undirected link inventory: (u, v) with u < v -> sorted channel list.
+    # Undirected link inventory: (u, v) with u < v -> sorted channel list, and
+    # the capacity of each (u, v, k) (capacities are symmetric in u and v).
+    js, ls, ks = np.unravel_index(np.flatnonzero(out.L == 1), out.L.shape)
+    link_caps = instance.link_capacities()[js, ls, ks].tolist()
     channels: dict[tuple[int, int], list[int]] = {}
-    for j, l, k in np.argwhere(out.L == 1):
-        u, v = (int(j), int(l)) if j < l else (int(l), int(j))
-        channels.setdefault((u, v), []).append(int(k))
+    cap: dict[tuple[int, int, int], float] = {}
+    for j, l, k, c in zip(js.tolist(), ls.tolist(), ks.tolist(), link_caps):
+        u, v = (j, l) if j < l else (l, j)
+        channels.setdefault((u, v), []).append(k)
+        cap[(u, v, k)] = c
     for key in channels:
         channels[key].sort()
 
     adj = np.zeros((s, s), dtype=np.uint8)
-    for u, v in channels:
-        adj[u, v] = 1
-        adj[v, u] = 1
+    if channels:
+        us, vs = np.array(list(channels)).T
+        adj[us, vs] = 1
+        adj[vs, us] = 1
     indptr, indices = adjacency_csr(adj)
+    indptr_l, indices_l = indptr.tolist(), indices.tolist()
 
-    demand_sites = [int(j) for j in np.flatnonzero(loads > FEAS_TOL)]
-    gateways = [int(j) for j in np.flatnonzero(out.gateway == 1)]
+    demand_sites = np.flatnonzero(loads > FEAS_TOL).tolist()
+    gateways = np.flatnonzero(out.gateway == 1).tolist()
     flow_dir: dict[tuple[int, int, int], tuple[int, int]] = {}
     flow_amt: dict[tuple[int, int, int], float] = {}
-    throughput = np.zeros(s, dtype=np.float64)
+    throughput = [0.0] * s
     traces: list[RoutingTrace] = []
 
     if demand_sites and not gateways:
@@ -133,17 +141,18 @@ def route_flows(
 
     if gateways:
         gw_hops = bfs_hops_multi(
-            indptr, indices, np.array(gateways, dtype=np.int32), s
-        )
+            indptr, indices, np.array(gateways, dtype=np.int32), s, A
+        ).tolist()
 
     def admissible_channel(u: int, v: int, demand: float):
         """Lowest channel on link u-v that can carry demand in direction u->v."""
-        for k in channels[(u, v) if u < v else (v, u)]:
-            key = (min(u, v), max(u, v), k)
+        lo, hi = (u, v) if u < v else (v, u)
+        for k in channels[(lo, hi)]:
+            key = (lo, hi, k)
             direction = flow_dir.get(key)
             if direction is not None and direction != (u, v):
                 continue
-            if flow_amt.get(key, 0.0) + demand <= caps[u, v, k] + FEAS_TOL:
+            if flow_amt.get(key, 0.0) + demand <= cap[key] + FEAS_TOL:
                 return k
         return None
 
@@ -163,13 +172,11 @@ def route_flows(
 
     for site in demand_sites:
         demand = float(loads[site])
+        # Hop rows are bounded at A: farther gateways read UNREACHABLE.
         order = sorted(
-            (
-                (int(gw_hops[gi, site]), gw)
-                for gi, gw in enumerate(gateways)
-                if gw_hops[gi, site] != UNREACHABLE
-                and gw_hops[gi, site] <= instance.A
-            ),
+            (row[site], gw)
+            for row, gw in zip(gw_hops, gateways)
+            if row[site] != UNREACHABLE
         )
         routed = False
         for base_hops, gw in order:
@@ -178,12 +185,11 @@ def route_flows(
                 traces.append(RoutingTrace(site, gw, [site], demand))
                 routed = True
                 break
-            gi = gateways.index(gw)
             cur_adj = None
-            cur_indptr, cur_indices = indptr, indices
-            dist = gw_hops[gi]
+            cur_indptr, cur_indices = indptr_l, indices_l
+            dist = gw_hops[gateways.index(gw)]
             for _ in range(max_path_tries):
-                if dist[site] == UNREACHABLE or dist[site] > instance.A:
+                if dist[site] == UNREACHABLE:
                     break
                 path = _lex_shortest_path(cur_indptr, cur_indices, dist, site, gw)
                 bad = try_commit(path, demand)
@@ -196,25 +202,30 @@ def route_flows(
                     cur_adj = adj.copy()
                 cur_adj[bad[0], bad[1]] = 0
                 cur_adj[bad[1], bad[0]] = 0
-                cur_indptr, cur_indices = adjacency_csr(cur_adj)
-                dist = bfs_hops(cur_indptr, cur_indices, gw, s)
+                csr = adjacency_csr(cur_adj)
+                dist = bfs_hops(*csr, gw, s, A).tolist()
+                cur_indptr, cur_indices = csr[0].tolist(), csr[1].tolist()
             if routed:
                 break
         if not routed:
             raise RoutingInfeasibleError(
                 site,
-                f"no path to any gateway within {instance.A} hops and link capacity",
+                f"no path to any gateway within {A} hops and link capacity",
             )
 
     # Re-emit links and flows with final directions.
+    heads, tails, chans, amounts = [], [], [], []
+    for (u, v), link_channels in channels.items():
+        for k in link_channels:
+            key = (u, v, k)
+            a, b = flow_dir.get(key, (u, v))
+            heads.append(a)
+            tails.append(b)
+            chans.append(k)
+            amounts.append(flow_amt.get(key, 0.0))
     out.L[:] = 0
     out.f[:] = 0.0
-    for (u, v), ks in channels.items():
-        for k in ks:
-            key = (u, v, k)
-            direction = flow_dir.get(key, (u, v))
-            a, bnode = direction
-            out.L[a, bnode, k] = 1
-            out.f[a, bnode, k] = flow_amt.get(key, 0.0)
-    out.F = throughput
+    out.L[heads, tails, chans] = 1
+    out.f[heads, tails, chans] = amounts
+    out.F = np.array(throughput, dtype=np.float64)
     return out, traces

@@ -3,6 +3,13 @@
 Plain numpy/Python, one implementation each. Archive bytes depend on the
 exact floating-point summation order of `crowding_distance_kernel` and on
 the ascending neighbor order of `adjacency_csr`; keep both when editing.
+
+The BFS kernels take an optional hop `limit`: nodes more than `limit` hops
+from the source read UNREACHABLE, exactly as if they were cut off, and every
+node within `limit` hops gets its true hop count. `limit=None` is the full
+BFS. Routing and the C12 check pass the instance hop bound A and rely on this
+exactness: they only read hop counts up to A, and the downhill path walk
+only visits nodes closer to the gateway than its start.
 """
 
 from __future__ import annotations
@@ -15,27 +22,38 @@ UNREACHABLE = -1
 NUMBA_ENABLED = False
 
 
-def bfs_hops(indptr, indices, source, n):
-    """Hop counts from source over a CSR adjacency; UNREACHABLE where cut off."""
-    indptr, indices = indptr.tolist(), indices.tolist()
+def _bfs(indptr, indices, source, n, limit):
+    """bfs_hops over CSR arrays already converted to Python lists."""
     dist = [UNREACHABLE] * n
     dist[source] = 0
-    queue = [int(source)]
-    for u in queue:  # the queue grows while it is walked
-        du = dist[u] + 1
-        for v in indices[indptr[u]:indptr[u + 1]]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du
-                queue.append(v)
-    return np.array(dist, dtype=np.int32)
+    frontier = [int(source)]
+    depth = 0
+    while frontier and (limit is None or depth < limit):
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                if dist[v] == UNREACHABLE:
+                    dist[v] = depth
+                    nxt.append(v)
+        frontier = nxt
+    return dist
 
 
-def bfs_hops_multi(indptr, indices, sources, n):
+def bfs_hops(indptr, indices, source, n, limit=None):
+    """Hop counts from source over a CSR adjacency; UNREACHABLE where cut off
+    or more than `limit` hops away."""
+    return np.array(
+        _bfs(indptr.tolist(), indices.tolist(), source, n, limit), dtype=np.int32
+    )
+
+
+def bfs_hops_multi(indptr, indices, sources, n, limit=None):
     """One `bfs_hops` row per source, stacked into an (len(sources), n) array."""
-    out = np.empty((len(sources), n), dtype=np.int32)
-    for i, src in enumerate(sources):
-        out[i] = bfs_hops(indptr, indices, src, n)
-    return out
+    indptr, indices = indptr.tolist(), indices.tolist()
+    return np.array(
+        [_bfs(indptr, indices, src, n, limit) for src in sources], dtype=np.int32
+    ).reshape(len(sources), n)
 
 
 def pareto_mask(values):

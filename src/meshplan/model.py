@@ -44,6 +44,18 @@ def parse_variant(name: str) -> str:
     return key
 
 
+def _where(mask: np.ndarray) -> list:
+    """Indices of the True entries as int tuples, in C order."""
+    if not mask.any():
+        return []
+    return [tuple(row) for row in np.argwhere(mask).tolist()]
+
+
+def _unravel(flat: np.ndarray, shape) -> list:
+    """Flat indices of an array of the given shape as int tuples."""
+    return list(zip(*(axis.tolist() for axis in np.unravel_index(flat, shape))))
+
+
 @dataclass
 class Solution:
     """One deployment plan: roles, DP assignment, channels, links, flows.
@@ -99,11 +111,14 @@ class Solution:
 
     def link_list(self) -> list[tuple[int, int, int]]:
         """Established links as stored (j, l, k), ascending."""
-        return [tuple(idx) for idx in np.argwhere(self.L == 1)]
+        return _unravel(np.flatnonzero(self.L == 1), self.L.shape)
 
     def established_adjacency(self) -> np.ndarray:
         """Undirected site adjacency induced by established links."""
-        any_link = (self.L.sum(axis=2) > 0).astype(np.uint8)
+        s, _, K = self.L.shape
+        any_link = np.zeros(s * s, dtype=np.uint8)
+        any_link[np.flatnonzero(self.L) // K] = 1
+        any_link = any_link.reshape(s, s)
         return any_link | any_link.T
 
 
@@ -127,11 +142,11 @@ def evaluate_coverage(
 
 def evaluate_link_balance(solution: Solution, instance: PlanningInstance) -> float:
     """Smallest residual capacity over established links; 0 when there are none."""
-    mask = solution.L == 1
-    if not mask.any():
+    links = np.flatnonzero(solution.L == 1)
+    if len(links) == 0:
         return 0.0
     caps = instance.link_capacities()
-    return float((caps[mask] - solution.f[mask]).min())
+    return float((caps.take(links) - solution.f.take(links)).min())
 
 
 def evaluate_gateway_balance(solution: Solution) -> float:
@@ -226,10 +241,6 @@ class ConstraintReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def _tuples(array_2d) -> list:
-    return [tuple(int(v) for v in row) for row in array_2d]
-
-
 def check_constraints(
     solution: Solution, instance: PlanningInstance, tol: float = FEAS_TOL
 ) -> ConstraintReport:
@@ -250,52 +261,58 @@ def check_constraints(
         report.checks.append(ConstraintCheck(cid, description, len(bad) == 0, bad))
 
     # C1: each DP assigned to at most one site
-    bad = _tuples(np.argwhere(x.sum(axis=1) > 1))
-    add("C1", "each demand point assigned to at most one site", bad)
+    add("C1", "each demand point assigned to at most one site",
+        _where(x.sum(axis=1) > 1))
 
     # C2: assignment only to covering installed sites
-    bad = _tuples(np.argwhere(x > a * z[None, :]))
-    add("C2", "assignment implies coverage and installation", bad)
+    add("C2", "assignment implies coverage and installation",
+        _where(x > a * z[None, :]))
 
     # C3: links incident to a node, counted once per endpoint, fit the radio budget
-    incident = L.sum(axis=(1, 2)) + L.sum(axis=(0, 2))
-    bad = _tuples(np.argwhere(incident > instance.R))
-    add("C3", f"at most R={instance.R} links incident to a node", bad)
+    out_per_channel = L.sum(axis=1)
+    in_per_channel = L.sum(axis=0)
+    incident = out_per_channel.sum(axis=1) + in_per_channel.sum(axis=1)
+    add("C3", f"at most R={instance.R} links incident to a node",
+        _where(incident > instance.R))
 
     # C4: channels per site pair
-    bad = _tuples(np.argwhere(L.sum(axis=2) > instance.K))
-    add("C4", f"at most K={instance.K} channels per site pair", bad)
+    add("C4", f"at most K={instance.K} channels per site pair",
+        _where(L.sum(axis=2) > instance.K))
 
     # C5: one outgoing link per node per channel
-    bad = _tuples(np.argwhere(L.sum(axis=1) > 1))
-    add("C5", "at most one outgoing link per node and channel", bad)
+    add("C5", "at most one outgoing link per node and channel",
+        _where(out_per_channel > 1))
 
     # C6: per node and channel, incoming plus outgoing at most one
-    per_node_channel = L.sum(axis=1) + L.sum(axis=0)
-    bad = _tuples(np.argwhere(per_node_channel > 1))
-    add("C6", "no same-channel transmit/receive pairing at a node", bad)
+    add("C6", "no same-channel transmit/receive pairing at a node",
+        _where(out_per_channel + in_per_channel > 1))
 
-    # C7: links need range and the channel active at both endpoints
-    rhs = b[:, :, None] * (w[:, None, :] + w[None, :, :])
-    bad = _tuples(np.argwhere(2 * L.astype(np.int64) > rhs))
+    # C7: links need range and the channel active at both endpoints; only
+    # entries with L != 0 can exceed a right-hand side that is never negative
+    links = np.flatnonzero(L)
+    j, l, k = np.unravel_index(links, L.shape)
+    rhs = b[j, l] * (w[j, k] + w[l, k])
+    bad = _unravel(links[2 * L.take(links).astype(np.int64) > rhs], L.shape)
     add("C7", "link requires connectivity and channel active at both ends", bad)
 
     # C8: active channels bounded by installed radios
-    bad = _tuples(np.argwhere(w.sum(axis=1) > instance.R * z))
-    add("C8", f"at most R={instance.R} active channels per installed node", bad)
+    add("C8", f"at most R={instance.R} active channels per installed node",
+        _where(w.sum(axis=1) > instance.R * z))
 
     # C9: access capacity
-    bad = _tuples(np.argwhere(loads > instance.C_max + tol))
-    add("C9", f"assigned traffic within C_max={instance.C_max}", bad)
+    add("C9", f"assigned traffic within C_max={instance.C_max}",
+        _where(loads > instance.C_max + tol))
 
-    # C10: flow only on established links, within capacity
-    bad = _tuples(np.argwhere(f > L * caps + tol))
-    add("C10", "flow within established link capacity", bad)
+    # C10: flow only on established links, within capacity; capacities are
+    # positive, so only entries with f > tol can break the bound
+    flowing = np.flatnonzero(f > tol)
+    over = f.take(flowing) > L.take(flowing) * caps.take(flowing) + tol
+    add("C10", "flow within established link capacity",
+        _unravel(flowing[over], f.shape))
 
     # C11: demand plus inflow minus outflow equals throughput at every node
     residual = loads + f.sum(axis=(0, 2)) - f.sum(axis=(1, 2)) - F
-    bad = _tuples(np.argwhere(np.abs(residual) > tol))
-    add("C11", "flow conservation at every site", bad)
+    add("C11", "flow conservation at every site", _where(np.abs(residual) > tol))
 
     # C12: every demand site within A established-link hops of a gateway
     demand_sites = np.flatnonzero(loads > tol)
@@ -303,26 +320,24 @@ def check_constraints(
     bad = []
     if len(demand_sites) > 0:
         if len(gateways) == 0:
-            bad = [(int(j),) for j in demand_sites]
+            bad = [(j,) for j in demand_sites.tolist()]
         else:
             indptr, indices = adjacency_csr(solution.established_adjacency())
             hops = bfs_hops_multi(
-                indptr, indices, gateways.astype(np.int32), instance.num_sites
+                indptr, indices, gateways.astype(np.int32), instance.num_sites,
+                instance.A,
             )
-            for j in demand_sites:
-                col = hops[:, j]
-                reachable = col[col != UNREACHABLE]
-                if len(reachable) == 0 or reachable.min() > instance.A:
-                    bad.append((int(j),))
+            near = (hops[:, demand_sites] != UNREACHABLE).any(axis=0)
+            bad = [(j,) for j in demand_sites[~near].tolist()]
     add("C12", f"demand sites within A={instance.A} hops of a gateway", bad)
 
     # C13: throughput only at gateway-flagged sites
-    bad = _tuples(np.argwhere(F > instance.M * solution.gateway + tol))
-    add("C13", "throughput gated by the gateway flag", bad)
+    add("C13", "throughput gated by the gateway flag",
+        _where(F > instance.M * solution.gateway + tol))
 
     # C14: every installed node sits on at least two links
-    bad = _tuples(np.argwhere((z == 1) & (incident < 2)))
-    add("C14", "every installed node incident to at least two links", bad)
+    add("C14", "every installed node incident to at least two links",
+        _where((z == 1) & (incident < 2)))
 
     # C15: variable domains
     bad = []
@@ -330,11 +345,9 @@ def check_constraints(
         ("ap", solution.ap), ("relay", solution.relay),
         ("gateway", solution.gateway), ("x", x), ("w", w), ("L", L),
     ):
-        for idx in np.argwhere(arr > 1):
-            bad.append((name, *(int(v) for v in idx)))
+        bad.extend((name, *idx) for idx in _where(arr > 1))
     for name, arr in (("f", f), ("F", F)):
-        for idx in np.argwhere(arr < -tol):
-            bad.append((name, *(int(v) for v in idx)))
+        bad.extend((name, *idx) for idx in _where(arr < -tol))
     add("C15", "binary and nonnegative variable domains", bad)
 
     return report
@@ -344,6 +357,8 @@ def solution_to_dict(solution: Solution) -> dict:
     s = solution.num_sites
     n, _ = solution.x.shape
     K = solution.w.shape[1]
+    flowing = np.flatnonzero(solution.f > 0)
+    flow_values = solution.f.take(flowing).tolist()
     return {
         "version": SOLUTION_FORMAT_VERSION,
         "sites": s,
@@ -353,12 +368,12 @@ def solution_to_dict(solution: Solution) -> dict:
         "ap": [int(j) for j in np.flatnonzero(solution.ap)],
         "relay": [int(j) for j in np.flatnonzero(solution.relay)],
         "gateway": [int(j) for j in np.flatnonzero(solution.gateway)],
-        "x": [[int(i), int(j)] for i, j in np.argwhere(solution.x == 1)],
-        "w": [[int(j), int(k)] for j, k in np.argwhere(solution.w == 1)],
-        "links": [[int(j), int(l), int(k)] for j, l, k in np.argwhere(solution.L == 1)],
+        "x": np.argwhere(solution.x == 1).tolist(),
+        "w": np.argwhere(solution.w == 1).tolist(),
+        "links": [list(link) for link in solution.link_list()],
         "flows": [
-            [int(j), int(l), int(k), float(solution.f[j, l, k])]
-            for j, l, k in np.argwhere(solution.f > 0)
+            [*link, value]
+            for link, value in zip(_unravel(flowing, solution.f.shape), flow_values)
         ],
         "F": [[int(j), float(v)] for j, v in enumerate(solution.F) if v > 0],
     }

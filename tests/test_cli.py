@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -57,6 +58,28 @@ def test_plan_dump_routes(tmp_path):
     assert code == 0
     routes = json.loads((out / "routes.json").read_text())
     assert routes and {"site", "gateway", "path", "demand"} == set(routes[0])
+
+
+#: sha256 of a fixed `plan --dump-routes` run's artifacts. Any change to
+#: these bytes changes what users get for a fixed seed and must be deliberate.
+GOLDEN_PLAN = [
+    "plan", "--grid", "6x6", "--dps", "200", "--swarm", "20", "--gmax", "5",
+    "--seed", "0", "--dump-routes",
+]
+GOLDEN_SHA256 = {
+    "archive.json": "6911f603beb78493c80e63039efac1287dfb3499de162907188d83392f696480",
+    "stats.csv": "ce2c39b7ffe9ac17771925298b235ae9b0f6f1cf7ea5bc636878c065a4e44f13",
+    "routes.json": "e2182139acbf2e840177456d6bd4864b19e97b2858053f9d00d1e4738fee3d01",
+}
+
+
+def test_plan_golden_bytes(tmp_path):
+    assert main([*GOLDEN_PLAN, "--out", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256
 
 
 def test_plan_loads_instance_file(tmp_path):

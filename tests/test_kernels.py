@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshplan.kernels import (
     UNREACHABLE,
@@ -58,6 +60,56 @@ def test_bfs_hops_multi_stacks_single_source(rng):
     multi = bfs_hops_multi(indptr, indices, sources, 15)
     for row, src in zip(multi, sources):
         assert np.array_equal(row, bfs_hops(indptr, indices, int(src), 15))
+
+
+@st.composite
+def _graph_and_limit(draw):
+    """Random undirected graph on n <= 20 nodes (often disconnected) and a limit."""
+    n = draw(st.integers(1, 20))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    adj = np.zeros((n, n), dtype=np.uint8)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1
+    return adj, draw(st.integers(0, n))
+
+
+def _hops_reference(adj, src):
+    """Hop counts by frontier expansion over the dense adjacency matrix."""
+    dist = np.full(len(adj), UNREACHABLE)
+    dist[src] = 0
+    frontier = dist == 0
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = adj[frontier].any(axis=0) & (dist == UNREACHABLE)
+        dist[frontier] = depth
+    return dist
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_limit())
+def test_bounded_bfs_truncates_full_bfs(case):
+    adj, limit = case
+    n = adj.shape[0]
+    indptr, indices = adjacency_csr(adj)
+    sources = np.arange(n, dtype=np.int32)
+    multi = bfs_hops_multi(indptr, indices, sources, n, limit)
+    assert multi.shape == (n, n) and multi.dtype == np.int32
+    for src in range(n):
+        full = bfs_hops(indptr, indices, src, n)
+        assert np.array_equal(full, _hops_reference(adj, src))
+        expected = np.where(full > limit, UNREACHABLE, full)
+        bounded = bfs_hops(indptr, indices, src, n, limit)
+        assert bounded.dtype == np.int32
+        assert np.array_equal(bounded, expected)
+        assert np.array_equal(multi[src], bounded)
+
+
+def test_bfs_hops_multi_without_sources():
+    indptr, indices = adjacency_csr(np.zeros((3, 3), dtype=np.uint8))
+    out = bfs_hops_multi(indptr, indices, np.array([], dtype=np.int32), 3, 2)
+    assert out.shape == (0, 3) and out.dtype == np.int32
 
 
 def test_pareto_mask_matches_dominance(rng):

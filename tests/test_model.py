@@ -6,6 +6,7 @@ import pytest
 from conftest import make_line_instance, make_square_instance
 from meshplan.construct import construct_feasible
 from meshplan.model import (
+    FEAS_TOL,
     Solution,
     VARIANTS,
     check_constraints,
@@ -215,6 +216,86 @@ def test_hop_bound_fails_c12():
     for j in range(5):
         sol.L[j, j + 1, j % 2] = 1
     assert "C12" in _failed_ids(sol, inst)
+
+
+def _violations(solution, instance, cid):
+    report = check_constraints(solution, instance)
+    return next(c.violations for c in report.checks if c.id == cid)
+
+
+def _line_backbone(n_sites=4, **overrides):
+    """All sites installed relays; links j-(j+1) on channel j % 2, channels active."""
+    inst = make_line_instance(n_sites, **overrides)
+    sol = Solution.empty(inst)
+    sol.relay[:] = 1
+    for j in range(n_sites - 1):
+        sol.L[j, j + 1, j % 2] = 1
+        sol.w[j, j % 2] = sol.w[j + 1, j % 2] = 1
+    return inst, sol
+
+
+def test_c7_violations_exact():
+    inst, sol = _line_backbone()
+    sol.L[0, 2, 0] = 1  # out of backbone range
+    sol.L[1, 2, 1] = 0
+    sol.w[1, 1] = sol.w[2, 1] = 0
+    sol.L[2, 1, 1] = 1  # in range, channel 1 inactive at both ends
+    assert _violations(sol, inst, "C7") == [(0, 2, 0), (2, 1, 1)]
+
+
+def test_c10_c11_violations_exact():
+    inst, sol = _line_backbone()
+    sol.f[0, 1, 0] = inst.C_max + 1.0  # established link, over capacity
+    sol.f[3, 2, 0] = 1.0  # no link (3, 2, 0) established
+    assert _violations(sol, inst, "C10") == [(0, 1, 0), (3, 2, 0)]
+    assert _violations(sol, inst, "C11") == [(0,), (1,), (2,), (3,)]
+
+
+def test_c10_tolerates_flow_within_tol_on_missing_link():
+    inst, sol = _line_backbone()
+    sol.f[3, 2, 0] = FEAS_TOL
+    assert _violations(sol, inst, "C10") == []
+
+
+@pytest.mark.parametrize("gateway", [1, 2, 3, 4, 5])
+def test_c12_violations_exact_at_hop_bound(gateway):
+    inst = make_line_instance(6, dp_sites=(0,), A=3)
+    sol = Solution.empty(inst)
+    sol.ap[0] = 1
+    sol.relay[1:] = 1
+    sol.gateway[gateway] = 1
+    sol.x[0, 0] = 1
+    for j in range(5):
+        sol.L[j, j + 1, j % 2] = 1
+    expected = [(0,)] if gateway > inst.A else []
+    assert _violations(sol, inst, "C12") == expected
+
+
+def test_c12_without_gateway_lists_every_demand_site():
+    inst = make_line_instance(4, dp_sites=(0, 2))
+    sol = Solution.empty(inst)
+    sol.ap[[0, 2]] = 1
+    sol.x[0, 0] = sol.x[1, 2] = 1
+    assert _violations(sol, inst, "C12") == [(0,), (2,)]
+
+
+def test_c15_violations_exact():
+    inst, sol = _line_backbone()
+    sol.L[1, 2, 1] = 2
+    sol.f[2, 3, 0] = -1.0
+    sol.F[1] = -0.5
+    assert _violations(sol, inst, "C15") == [
+        ("L", 1, 2, 1), ("f", 2, 3, 0), ("F", 1),
+    ]
+
+
+def test_violation_indices_are_python_ints():
+    inst, sol = _line_backbone()
+    sol.L[0, 2, 0] = 1
+    sol.f[3, 2, 0] = 1.0
+    for cid in ("C7", "C10", "C11"):
+        for v in _violations(sol, inst, cid):
+            assert all(type(i) is int for i in v)
 
 
 def test_rogue_throughput_fails_c13(feasible, standard_instance):
