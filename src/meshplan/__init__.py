@@ -42,7 +42,6 @@ from .flow import (
     RoutingTrace,
     gateway_throughputs,
     hop_distances,
-    literal_flow_balance,
     route_flows,
 )
 from .construct import (
@@ -110,7 +109,6 @@ __all__ = [
     "hop_distances",
     "instance_from_dict",
     "instance_to_dict",
-    "literal_flow_balance",
     "load_instance",
     "load_solution",
     "mutate_solution",

@@ -13,19 +13,13 @@ import numpy as np
 
 from .flow import RoutingInfeasibleError, route_flows
 from .instance import (
-    CORNER,
-    EDGE,
     PlanningInstance,
-    classify_site,
     connectivity_matrix,
     coverage_matrix,
     default_gateway_count,
     grid_neighbors,
 )
 from .model import FEAS_TOL, Solution, check_constraints
-
-RELAY_TARGET = {CORNER: 2, EDGE: 3}
-
 
 class ChannelAssignmentError(Exception):
     """Greedy channel assignment left an installed node under-linked."""
@@ -92,24 +86,17 @@ def place_access_points(
 
 
 def place_relays(partial: Solution, instance: PlanningInstance) -> Solution:
-    """Surround each AP with installed neighbors: 2, 3 or 4 by grid position.
+    """Install every grid neighbor of every AP as a relay, unless installed.
 
-    Neighbors are probed north, east, south, west; sites already installed
-    count toward the target.
+    That is 2, 3 or 4 installed neighbors by grid position (corner, edge,
+    interior).
     """
     z = partial.z.tolist()
     for ap in np.flatnonzero(partial.ap == 1).tolist():
-        target = RELAY_TARGET.get(classify_site(instance, ap), 4)
-        neighbors = grid_neighbors(instance, ap)
-        target = min(target, len(neighbors))
-        installed = sum(1 for nb in neighbors if z[nb])
-        for nb in neighbors:
-            if installed >= target:
-                break
+        for nb in grid_neighbors(instance, ap):
             if not z[nb]:
                 partial.relay[nb] = 1
                 z[nb] = 1
-                installed += 1
     return partial
 
 
@@ -266,7 +253,7 @@ def assign_channels(partial: Solution, instance: PlanningInstance) -> Solution:
             used[j].add(k)
             used[l].add(k)
             break
-    partial.L[heads, tails, chans] = 1
+    partial.set_links((j, l, k, 1, 0.0) for j, l, k in zip(heads, tails, chans))
     partial.w[heads, chans] = 1
     partial.w[tails, chans] = 1
     lonely = [j for j in degree if degree[j] < 2]
@@ -285,8 +272,7 @@ def rebuild_pipeline(
 ) -> Solution:
     """Re-run placement steps on a partial (roles and assignments kept)."""
     partial.w[:] = 0
-    partial.L[:] = 0
-    partial.f[:] = 0.0
+    partial.clear_links()
     partial.F[:] = 0.0
     place_access_points(partial, instance, rng)
     place_relays(partial, instance)

@@ -62,17 +62,6 @@ def gateway_throughputs(solution: Solution) -> list:
     return [(int(j), float(solution.F[j])) for j in np.flatnonzero(solution.gateway)]
 
 
-def literal_flow_balance(solution: Solution, instance: PlanningInstance, j: int) -> float:
-    """Additive balance at site j: demand plus all incident flow, minus throughput.
-
-    This mirrors the summed form rather than the conservation law; it is a
-    diagnostic only and is generally nonzero at transit nodes.
-    """
-    loads = solution.site_loads(instance)
-    incident = float(solution.f[j, :, :].sum() + solution.f[:, j, :].sum())
-    return float(loads[j]) + incident - float(solution.F[j])
-
-
 def _lex_shortest_path(indptr, indices, dist_from_gw, site, gateway):
     """Walk downhill from site to gateway, smallest neighbor index first.
 
@@ -98,7 +87,7 @@ def route_flows(
 ) -> tuple[Solution, list]:
     """Route every site's assigned demand to a gateway; returns (solution, traces).
 
-    The returned solution carries fresh f and F tensors, with each established
+    The returned solution carries fresh flows and F, with each established
     link stored in the direction its flow travels (idle links keep the
     low-to-high canonical direction). Raises RoutingInfeasibleError when some
     demand site has no admissible path.
@@ -110,7 +99,7 @@ def route_flows(
 
     # Undirected link inventory: (u, v) with u < v -> sorted channel list, and
     # the capacity of each (u, v, k) (capacities are symmetric in u and v).
-    js, ls, ks = np.unravel_index(np.flatnonzero(out.L == 1), out.L.shape)
+    js, ls, ks = out.links[out.L == 1].T
     link_caps = instance.link_capacities()[js, ls, ks].tolist()
     channels: dict[tuple[int, int], list[int]] = {}
     cap: dict[tuple[int, int, int], float] = {}
@@ -214,18 +203,13 @@ def route_flows(
             )
 
     # Re-emit links and flows with final directions.
-    heads, tails, chans, amounts = [], [], [], []
+    rows = []
     for (u, v), link_channels in channels.items():
         for k in link_channels:
             key = (u, v, k)
             a, b = flow_dir.get(key, (u, v))
-            heads.append(a)
-            tails.append(b)
-            chans.append(k)
-            amounts.append(flow_amt.get(key, 0.0))
-    out.L[:] = 0
-    out.f[:] = 0.0
-    out.L[heads, tails, chans] = 1
-    out.f[heads, tails, chans] = amounts
+            rows.append((a, b, k, 1, flow_amt.get(key, 0.0)))
+    out.clear_links()
+    out.set_links(rows)
     out.F = np.array(throughput, dtype=np.float64)
     return out, traces

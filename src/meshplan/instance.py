@@ -231,23 +231,6 @@ def connectivity_matrix(instance: PlanningInstance) -> np.ndarray:
     return b
 
 
-CORNER = "corner"
-EDGE = "edge"
-INTERNAL = "internal"
-
-
-def classify_site(instance: PlanningInstance, j: int) -> str:
-    """Grid position class: corner (2 neighbors), edge (3) or internal (4)."""
-    row, col = divmod(j, instance.cols)
-    on_row_border = row in (0, instance.rows - 1)
-    on_col_border = col in (0, instance.cols - 1)
-    if on_row_border and on_col_border:
-        return CORNER
-    if on_row_border or on_col_border:
-        return EDGE
-    return INTERNAL
-
-
 def grid_neighbors(instance: PlanningInstance, j: int) -> list[int]:
     """4-neighborhood in fixed north, east, south, west order (north = +row)."""
     row, col = divmod(j, instance.cols)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +52,13 @@ def _where(mask: np.ndarray) -> list:
     return [tuple(row) for row in np.argwhere(mask).tolist()]
 
 
-def _unravel(flat: np.ndarray, shape) -> list:
-    """Flat indices of an array of the given shape as int tuples."""
-    return list(zip(*(axis.tolist() for axis in np.unravel_index(flat, shape))))
+def _rows(links: np.ndarray, mask: np.ndarray) -> list:
+    """(j, l, k) of the masked link-table rows as int tuples, ascending."""
+    return [tuple(row) for row in links[mask].tolist()]
+
+
+def _no_links():
+    return np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.uint8), np.zeros(0)
 
 
 @dataclass
@@ -62,8 +67,12 @@ class Solution:
 
     ap/relay/gateway are 0/1 site vectors (a site is at most one of AP and
     relay; the gateway flag sits on installed sites). x assigns DPs to sites,
-    w marks active channels per site, L holds each established link once in
-    its flow direction, f carries link flow, F gateway throughput.
+    w marks active channels per site, F is gateway throughput.
+
+    Links and flows form one table: `links` holds unique (j, l, k) rows in
+    ascending order, and `L` and `f` hold each row's link indicator and link
+    flow. Every (j, l, k) without a row has L = f = 0. An established link
+    is stored once, in its flow direction.
     """
 
     ap: np.ndarray        # (s,) uint8
@@ -71,21 +80,22 @@ class Solution:
     gateway: np.ndarray   # (s,) uint8
     x: np.ndarray         # (n, s) uint8
     w: np.ndarray         # (s, K) uint8
-    L: np.ndarray         # (s, s, K) uint8
-    f: np.ndarray         # (s, s, K) float64
+    links: np.ndarray     # (m, 3) int64
+    L: np.ndarray         # (m,) uint8
+    f: np.ndarray         # (m,) float64
     F: np.ndarray         # (s,) float64
 
     @classmethod
     def empty(cls, instance: PlanningInstance) -> "Solution":
         s, n, K = instance.num_sites, instance.num_dps, instance.K
+        links, L, f = _no_links()
         return cls(
             ap=np.zeros(s, dtype=np.uint8),
             relay=np.zeros(s, dtype=np.uint8),
             gateway=np.zeros(s, dtype=np.uint8),
             x=np.zeros((n, s), dtype=np.uint8),
             w=np.zeros((s, K), dtype=np.uint8),
-            L=np.zeros((s, s, K), dtype=np.uint8),
-            f=np.zeros((s, s, K), dtype=np.float64),
+            links=links, L=L, f=f,
             F=np.zeros(s, dtype=np.float64),
         )
 
@@ -101,9 +111,32 @@ class Solution:
     def copy(self) -> "Solution":
         return Solution(
             ap=self.ap.copy(), relay=self.relay.copy(), gateway=self.gateway.copy(),
-            x=self.x.copy(), w=self.w.copy(), L=self.L.copy(), f=self.f.copy(),
-            F=self.F.copy(),
+            x=self.x.copy(), w=self.w.copy(), links=self.links.copy(),
+            L=self.L.copy(), f=self.f.copy(), F=self.F.copy(),
         )
+
+    def clear_links(self) -> None:
+        self.links, self.L, self.f = _no_links()
+
+    def set_links(self, rows) -> None:
+        """Store (j, l, k, L, f) rows of ints j, l, k; a key given again is replaced.
+
+        This is `L[j, l, k], f[j, l, k] = L, f` on (s, s, K) tensors, kept as
+        the canonical table: one row per key, ascending, dropped when both
+        values are 0. Raises ValueError for a key outside the solution.
+        """
+        s, K = self.num_sites, self.w.shape[1]
+        cells = dict(zip(
+            map(tuple, self.links.tolist()), zip(self.L.tolist(), self.f.tolist())
+        ))
+        for j, l, k, L, f in rows:
+            if not (0 <= j < s and 0 <= l < s and 0 <= k < K):
+                raise ValueError(f"link {(j, l, k)} outside {s} sites and {K} channels")
+            cells[j, l, k] = L, f
+        keys = sorted(key for key, (L, f) in cells.items() if L or f)
+        self.links = np.array(keys, dtype=np.int64).reshape(-1, 3)
+        self.L = np.array([cells[key][0] for key in keys], dtype=np.uint8)
+        self.f = np.array([cells[key][1] for key in keys], dtype=np.float64)
 
     def site_loads(self, instance: PlanningInstance) -> np.ndarray:
         """Assigned access traffic per site."""
@@ -111,15 +144,14 @@ class Solution:
 
     def link_list(self) -> list[tuple[int, int, int]]:
         """Established links as stored (j, l, k), ascending."""
-        return _unravel(np.flatnonzero(self.L == 1), self.L.shape)
+        return _rows(self.links, self.L == 1)
 
     def established_adjacency(self) -> np.ndarray:
         """Undirected site adjacency induced by established links."""
-        s, _, K = self.L.shape
-        any_link = np.zeros(s * s, dtype=np.uint8)
-        any_link[np.flatnonzero(self.L) // K] = 1
-        any_link = any_link.reshape(s, s)
-        return any_link | any_link.T
+        j, l, _ = self.links[self.L != 0].T
+        adj = np.zeros((self.num_sites, self.num_sites), dtype=np.uint8)
+        adj[j, l] = adj[l, j] = 1
+        return adj
 
 
 def evaluate_cost(solution: Solution) -> float:
@@ -142,11 +174,11 @@ def evaluate_coverage(
 
 def evaluate_link_balance(solution: Solution, instance: PlanningInstance) -> float:
     """Smallest residual capacity over established links; 0 when there are none."""
-    links = np.flatnonzero(solution.L == 1)
-    if len(links) == 0:
+    live = solution.L == 1
+    if not live.any():
         return 0.0
-    caps = instance.link_capacities()
-    return float((caps.take(links) - solution.f.take(links)).min())
+    j, l, k = solution.links[live].T
+    return float((instance.link_capacities()[j, l, k] - solution.f[live]).min())
 
 
 def evaluate_gateway_balance(solution: Solution) -> float:
@@ -247,12 +279,12 @@ def check_constraints(
     """All fifteen feasibility checks with concrete violating indices."""
     a = coverage_matrix(instance)
     b = connectivity_matrix(instance)
-    caps = instance.link_capacities()
+    s, K = instance.num_sites, instance.K
     z = solution.z
     x = solution.x
     w = solution.w
-    L = solution.L
-    f = solution.f
+    links, L, f = solution.links, solution.L, solution.f
+    j, l, k = links.T
     F = solution.F
     loads = solution.site_loads(instance)
     report = ConstraintReport()
@@ -269,15 +301,21 @@ def check_constraints(
         _where(x > a * z[None, :]))
 
     # C3: links incident to a node, counted once per endpoint, fit the radio budget
-    out_per_channel = L.sum(axis=1)
-    in_per_channel = L.sum(axis=0)
-    incident = out_per_channel.sum(axis=1) + in_per_channel.sum(axis=1)
+    out_per_channel = np.bincount(j * K + k, L, s * K).reshape(s, K)
+    per_channel = out_per_channel + np.bincount(l * K + k, L, s * K).reshape(s, K)
+    incident = per_channel.sum(axis=1)
     add("C3", f"at most R={instance.R} links incident to a node",
         _where(incident > instance.R))
 
-    # C4: channels per site pair
-    add("C4", f"at most K={instance.K} channels per site pair",
-        _where(L.sum(axis=2) > instance.K))
+    # C4: channels per site pair. A pair has at most K rows, one per channel,
+    # so only a link value above 1 can lift its sum past K.
+    big = L > 1
+    bad = []
+    if big.any():  # rows are sorted, so each pair is one run
+        pairs, first = np.unique(j * s + l, return_index=True)
+        over = pairs[np.add.reduceat(L.astype(np.int64), first) > instance.K]
+        bad = [divmod(p, s) for p in over.tolist()]
+    add("C4", f"at most K={instance.K} channels per site pair", bad)
 
     # C5: one outgoing link per node per channel
     add("C5", "at most one outgoing link per node and channel",
@@ -285,15 +323,12 @@ def check_constraints(
 
     # C6: per node and channel, incoming plus outgoing at most one
     add("C6", "no same-channel transmit/receive pairing at a node",
-        _where(out_per_channel + in_per_channel > 1))
+        _where(per_channel > 1))
 
-    # C7: links need range and the channel active at both endpoints; only
-    # entries with L != 0 can exceed a right-hand side that is never negative
-    links = np.flatnonzero(L)
-    j, l, k = np.unravel_index(links, L.shape)
+    # C7: links need range and the channel active at both endpoints
     rhs = b[j, l] * (w[j, k] + w[l, k])
-    bad = _unravel(links[2 * L.take(links).astype(np.int64) > rhs], L.shape)
-    add("C7", "link requires connectivity and channel active at both ends", bad)
+    add("C7", "link requires connectivity and channel active at both ends",
+        _rows(links, 2 * L.astype(np.int64) > rhs))
 
     # C8: active channels bounded by installed radios
     add("C8", f"at most R={instance.R} active channels per installed node",
@@ -303,15 +338,13 @@ def check_constraints(
     add("C9", f"assigned traffic within C_max={instance.C_max}",
         _where(loads > instance.C_max + tol))
 
-    # C10: flow only on established links, within capacity; capacities are
-    # positive, so only entries with f > tol can break the bound
-    flowing = np.flatnonzero(f > tol)
-    over = f.take(flowing) > L.take(flowing) * caps.take(flowing) + tol
+    # C10: flow only on established links, within capacity
+    caps = instance.link_capacities()[j, l, k]
     add("C10", "flow within established link capacity",
-        _unravel(flowing[over], f.shape))
+        _rows(links, f > L * caps + tol))
 
     # C11: demand plus inflow minus outflow equals throughput at every node
-    residual = loads + f.sum(axis=(0, 2)) - f.sum(axis=(1, 2)) - F
+    residual = loads + np.bincount(l, f, s) - np.bincount(j, f, s) - F
     add("C11", "flow conservation at every site", _where(np.abs(residual) > tol))
 
     # C12: every demand site within A established-link hops of a gateway
@@ -320,7 +353,7 @@ def check_constraints(
     bad = []
     if len(demand_sites) > 0:
         if len(gateways) == 0:
-            bad = [(j,) for j in demand_sites.tolist()]
+            bad = [(site,) for site in demand_sites.tolist()]
         else:
             indptr, indices = adjacency_csr(solution.established_adjacency())
             hops = bfs_hops_multi(
@@ -328,7 +361,7 @@ def check_constraints(
                 instance.A,
             )
             near = (hops[:, demand_sites] != UNREACHABLE).any(axis=0)
-            bad = [(j,) for j in demand_sites[~near].tolist()]
+            bad = [(site,) for site in demand_sites[~near].tolist()]
     add("C12", f"demand sites within A={instance.A} hops of a gateway", bad)
 
     # C13: throughput only at gateway-flagged sites
@@ -339,15 +372,16 @@ def check_constraints(
     add("C14", "every installed node incident to at least two links",
         _where((z == 1) & (incident < 2)))
 
-    # C15: variable domains
+    # C15: variable domains; one scan tells whether any 0/1 array breaks
+    binary = (("ap", solution.ap), ("relay", solution.relay),
+              ("gateway", solution.gateway), ("x", x), ("w", w))
     bad = []
-    for name, arr in (
-        ("ap", solution.ap), ("relay", solution.relay),
-        ("gateway", solution.gateway), ("x", x), ("w", w), ("L", L),
-    ):
-        bad.extend((name, *idx) for idx in _where(arr > 1))
-    for name, arr in (("f", f), ("F", F)):
-        bad.extend((name, *idx) for idx in _where(arr < -tol))
+    if np.concatenate([arr for _, arr in binary], axis=None).max() > 1:
+        for name, arr in binary:
+            bad.extend((name, *idx) for idx in _where(arr > 1))
+    bad.extend(("L", *idx) for idx in _rows(links, big))
+    bad.extend(("f", *idx) for idx in _rows(links, f < -tol))
+    bad.extend(("F", *idx) for idx in _where(F < -tol))
     add("C15", "binary and nonnegative variable domains", bad)
 
     return report
@@ -357,8 +391,7 @@ def solution_to_dict(solution: Solution) -> dict:
     s = solution.num_sites
     n, _ = solution.x.shape
     K = solution.w.shape[1]
-    flowing = np.flatnonzero(solution.f > 0)
-    flow_values = solution.f.take(flowing).tolist()
+    flowing = solution.f > 0
     return {
         "version": SOLUTION_FORMAT_VERSION,
         "sites": s,
@@ -373,10 +406,20 @@ def solution_to_dict(solution: Solution) -> dict:
         "links": [list(link) for link in solution.link_list()],
         "flows": [
             [*link, value]
-            for link, value in zip(_unravel(flowing, solution.f.shape), flow_values)
+            for link, value in zip(
+                solution.links[flowing].tolist(), solution.f[flowing].tolist()
+            )
         ],
         "F": [[int(j), float(v)] for j, v in enumerate(solution.F) if v > 0],
     }
+
+
+def _index(idx, bounds: tuple, what: str) -> tuple:
+    """idx as a tuple of ints, each within [0, bound) for its position."""
+    idx = tuple(map(operator.index, idx))
+    if len(idx) != len(bounds) or not all(0 <= v < b for v, b in zip(idx, bounds)):
+        raise SolutionFormatError(f"{what} index out of range: {list(idx)}")
+    return idx
 
 
 def solution_from_dict(data: dict) -> Solution:
@@ -387,32 +430,30 @@ def solution_from_dict(data: dict) -> Solution:
         s = int(data["sites"])
         n = int(data["demand_points"])
         K = int(data["channels"])
+        links, L, f = _no_links()
         sol = Solution(
             ap=np.zeros(s, dtype=np.uint8),
             relay=np.zeros(s, dtype=np.uint8),
             gateway=np.zeros(s, dtype=np.uint8),
             x=np.zeros((n, s), dtype=np.uint8),
             w=np.zeros((s, K), dtype=np.uint8),
-            L=np.zeros((s, s, K), dtype=np.uint8),
-            f=np.zeros((s, s, K), dtype=np.float64),
+            links=links, L=L, f=f,
             F=np.zeros(s, dtype=np.float64),
         )
-        for j in data["ap"]:
-            sol.ap[j] = 1
-        for j in data["relay"]:
-            sol.relay[j] = 1
-        for j in data["gateway"]:
-            sol.gateway[j] = 1
+        for name in ("ap", "relay", "gateway"):
+            for j in data[name]:
+                getattr(sol, name)[_index([j], (s,), name)] = 1
         for i, j in data["x"]:
-            sol.x[i, j] = 1
+            sol.x[_index((i, j), (n, s), "x")] = 1
         for j, k in data["w"]:
-            sol.w[j, k] = 1
-        for j, l, k in data["links"]:
-            sol.L[j, l, k] = 1
-        for j, l, k, value in data["flows"]:
-            sol.f[j, l, k] = value
+            sol.w[_index((j, k), (s, K), "w")] = 1
+        links = {_index(key, (s, s, K), "links") for key in data["links"]}
+        flows = {_index(key, (s, s, K), "flows"): float(v) for *key, v in data["flows"]}
+        sol.set_links(
+            (*key, int(key in links), flows.get(key, 0.0)) for key in links | set(flows)
+        )
         for j, value in data["F"]:
-            sol.F[j] = value
+            sol.F[_index([j], (s,), "F")] = value
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         if isinstance(exc, SolutionFormatError):
             raise

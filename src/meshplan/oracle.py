@@ -218,8 +218,8 @@ def _assemble(
     for i, j in enumerate(choice):
         if j >= 0:
             sol.x[i, j] = 1
+    sol.set_links((u, v, k, 1, 0.0) for u, v, k in links)
     for u, v, k in links:
-        sol.L[u, v, k] = 1
         sol.w[u, k] = 1
         sol.w[v, k] = 1
     return sol

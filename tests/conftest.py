@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +80,37 @@ def make_square_instance(dp_sites=(0,), traffic=2.0, **overrides):
     return PlanningInstance(**params)
 
 
+def dense(solution: Solution):
+    """The link table as (s, s, K) L and f tensors, for reading."""
+    s, K = solution.num_sites, solution.w.shape[1]
+    L = np.zeros((s, s, K), dtype=np.uint8)
+    f = np.zeros((s, s, K), dtype=np.float64)
+    L[tuple(solution.links.T)] = solution.L
+    f[tuple(solution.links.T)] = solution.f
+    return L, f
+
+
+@contextmanager
+def dense_links(solution: Solution):
+    """Edit the link table through dense (s, s, K) L and f tensors.
+
+    Poke the yielded tensors by (j, l, k) index; on exit the table is
+    rebuilt from every nonzero entry.
+    """
+    L, f = dense(solution)
+    yield L, f
+    j, l, k = np.nonzero((L != 0) | (f != 0))
+    solution.clear_links()
+    solution.set_links(zip(j.tolist(), l.tolist(), k.tolist(),
+                           L[j, l, k].tolist(), f[j, l, k].tolist()))
+
+
 def assert_flow_conserved(solution: Solution, instance: PlanningInstance):
     """Canonical per-node balance and total-throughput identity, both at 1e-9."""
     loads = solution.site_loads(instance)
-    inflow = solution.f.sum(axis=(0, 2))
-    outflow = solution.f.sum(axis=(1, 2))
+    _, f = dense(solution)
+    inflow = f.sum(axis=(0, 2))
+    outflow = f.sum(axis=(1, 2))
     residual = loads + inflow - outflow - solution.F
     assert np.abs(residual).max() <= FEAS_TOL
     assert abs(solution.F.sum() - loads.sum()) <= FEAS_TOL

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, dense
 from meshplan.cli import main
 from meshplan.construct import construct_feasible, place_relays
 from meshplan.instance import RadioParams, build_grid_instance
@@ -227,7 +227,8 @@ def test_criterion_09_flow_conservation(standard, constructions, full_run, toy_i
     assert len(PRODUCED) > 100
     for sol, inst in PRODUCED:
         loads = sol.site_loads(inst)
-        residual = loads + sol.f.sum(axis=(0, 2)) - sol.f.sum(axis=(1, 2)) - sol.F
+        _, f = dense(sol)
+        residual = loads + f.sum(axis=(0, 2)) - f.sum(axis=(1, 2)) - sol.F
         assert float(np.abs(residual).max()) <= FEAS_TOL
         assert abs(float(sol.F.sum()) - float(loads.sum())) <= FEAS_TOL
     print(

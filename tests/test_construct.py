@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import assert_feasible, make_line_instance, make_square_instance
+from conftest import (
+    assert_feasible,
+    dense,
+    dense_links,
+    make_line_instance,
+    make_square_instance,
+)
 from meshplan.construct import (
     ChannelAssignmentError,
     ConstructionInfeasibleError,
@@ -191,14 +197,16 @@ def test_assign_channels_first_fit_properties(standard_instance, rng):
         rng,
     )
     linked = assign_channels(sol, standard_instance)
-    incident = linked.L.sum(axis=(1, 2)) + linked.L.sum(axis=(0, 2))
+    L, _ = dense(linked)
+    incident = L.sum(axis=(1, 2)) + L.sum(axis=(0, 2))
     assert incident.max() <= standard_instance.R
     assert incident[np.flatnonzero(linked.z)].min() >= 2
     # no channel repeats among links meeting at a node
-    per_node_channel = linked.L.sum(axis=1) + linked.L.sum(axis=0)
+    per_node_channel = L.sum(axis=1) + L.sum(axis=0)
     assert per_node_channel.max() <= 1
     # deterministic: same input, same links
     again = assign_channels(sol, standard_instance)
+    assert np.array_equal(linked.links, again.links)
     assert np.array_equal(linked.L, again.L)
     assert np.array_equal(linked.w, again.w)
 
@@ -250,6 +258,7 @@ def test_construct_deterministic(standard_instance):
     assert np.array_equal(one.relay, two.relay)
     assert np.array_equal(one.gateway, two.gateway)
     assert np.array_equal(one.x, two.x)
+    assert np.array_equal(one.links, two.links)
     assert np.array_equal(one.L, two.L)
     assert np.array_equal(one.f, two.f)
 
@@ -263,7 +272,8 @@ def test_construct_with_fixed_gateway_count(standard_instance, rng):
 def test_rebuild_pipeline_clears_stale_flows(standard_instance, rng):
     sol = construct_feasible(standard_instance, rng)
     dirty = sol.copy()
-    dirty.f += 1.0
+    with dense_links(dirty) as (_, f):
+        f += 1.0
     rebuilt = rebuild_pipeline(dirty, standard_instance, np.random.default_rng(1))
     assert_feasible(rebuilt, standard_instance)
 

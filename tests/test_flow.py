@@ -3,13 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from conftest import assert_flow_conserved, make_line_instance, make_square_instance
+from conftest import (
+    assert_flow_conserved,
+    dense,
+    dense_links,
+    make_line_instance,
+    make_square_instance,
+)
 from meshplan.construct import construct_feasible
 from meshplan.flow import (
     RoutingInfeasibleError,
     gateway_throughputs,
     hop_distances,
-    literal_flow_balance,
     route_flows,
     traces_to_json,
 )
@@ -25,8 +30,9 @@ def _line_solution(inst, gateway_site):
     sol.relay[1:] = 1
     sol.gateway[gateway_site] = 1
     sol.x[0, 0] = 1
-    for j in range(n - 1):
-        sol.L[j, j + 1, j % inst.K] = 1
+    with dense_links(sol) as (L, _):
+        for j in range(n - 1):
+            L[j, j + 1, j % inst.K] = 1
     return sol
 
 
@@ -38,10 +44,11 @@ def _square_solution(inst, gateways=(3,)):
     for g in gateways:
         sol.gateway[g] = 1
     sol.x[0, 0] = 1
-    sol.L[0, 1, 0] = 1
-    sol.L[1, 3, 1] = 1
-    sol.L[0, 2, 1] = 1
-    sol.L[2, 3, 0] = 1
+    with dense_links(sol) as (L, _):
+        L[0, 1, 0] = 1
+        L[1, 3, 1] = 1
+        L[0, 2, 1] = 1
+        L[2, 3, 0] = 1
     return sol
 
 
@@ -52,9 +59,10 @@ def test_one_hop_route():
     sol.relay[1] = 1
     sol.gateway[1] = 1
     sol.x[0, 0] = 1
-    sol.L[0, 1, 0] = 1
+    with dense_links(sol) as (L, _):
+        L[0, 1, 0] = 1
     routed, traces = route_flows(sol, inst)
-    assert routed.f[0, 1, 0] == pytest.approx(2.0)
+    assert dense(routed)[1][0, 1, 0] == pytest.approx(2.0)
     assert routed.F[1] == pytest.approx(2.0)
     assert len(traces) == 1
     assert traces[0].path == [0, 1]
@@ -74,9 +82,10 @@ def test_gateway_at_demand_site_short_circuits():
 def test_route_does_not_mutate_input():
     inst = make_line_instance(3)
     sol = _line_solution(inst, gateway_site=2)
-    before = sol.f.copy()
+    before = sol.copy()
     routed, _ = route_flows(sol, inst)
-    assert np.array_equal(sol.f, before)
+    for name in ("links", "L", "f"):
+        assert np.array_equal(getattr(sol, name), getattr(before, name))
     assert routed is not sol
     assert routed.f.sum() > 0
 
@@ -99,8 +108,9 @@ def test_equidistant_tie_prefers_lower_index_gateway():
     sol.gateway[1] = 1
     sol.gateway[3] = 1
     sol.x[0, 2] = 1
-    for j in range(4):
-        sol.L[j, j + 1, j % inst.K] = 1
+    with dense_links(sol) as (L, _):
+        for j in range(4):
+            L[j, j + 1, j % inst.K] = 1
     routed, traces = route_flows(sol, inst)
     assert traces[0].gateway == 1
     assert routed.F[1] == pytest.approx(2.0)
@@ -112,9 +122,10 @@ def test_lexicographically_smallest_shortest_path():
     routed, traces = route_flows(sol, inst)
     # both 0-1-3 and 0-2-3 are two hops; the smaller middle node wins
     assert traces[0].path == [0, 1, 3]
-    assert routed.f[0, 1, 0] == pytest.approx(2.0)
-    assert routed.f[1, 3, 1] == pytest.approx(2.0)
-    assert routed.f[0, 2, 1] == 0.0
+    _, f = dense(routed)
+    assert f[0, 1, 0] == pytest.approx(2.0)
+    assert f[1, 3, 1] == pytest.approx(2.0)
+    assert f[0, 2, 1] == 0.0
     assert_flow_conserved(routed, inst)
 
 
@@ -125,8 +136,9 @@ def test_capacity_fallback_takes_detour():
     sol = _square_solution(inst, gateways=(3,))
     routed, traces = route_flows(sol, inst)
     assert traces[0].path == [0, 2, 3]
-    assert routed.f[0, 2, 1] == pytest.approx(2.0)
-    assert routed.f[2, 3, 0] == pytest.approx(2.0)
+    _, f = dense(routed)
+    assert f[0, 2, 1] == pytest.approx(2.0)
+    assert f[2, 3, 0] == pytest.approx(2.0)
     assert_flow_conserved(routed, inst)
 
 
@@ -168,10 +180,11 @@ def test_flow_direction_matches_travel():
     links = routed.link_list()
     # links carrying flow point downstream; f lives on the same slots
     assert (0, 1, 0) in links and (1, 2, 1) in links
+    L, f = dense(routed)
     for j, l, k in links:
-        if routed.f[j, l, k] > 0:
-            assert routed.L[j, l, k] == 1
-            assert routed.L[l, j, k] == 0
+        if f[j, l, k] > 0:
+            assert L[j, l, k] == 1
+            assert L[l, j, k] == 0
 
 
 def test_shared_link_accumulates_flow():
@@ -179,20 +192,10 @@ def test_shared_link_accumulates_flow():
     sol = _line_solution(inst, gateway_site=2)
     sol.x = np.eye(2, 3, dtype=np.uint8)
     routed, traces = route_flows(sol, inst)
-    assert routed.f[1, 2, 1] == pytest.approx(4.0)
+    assert dense(routed)[1][1, 2, 1] == pytest.approx(4.0)
     assert routed.F[2] == pytest.approx(4.0)
     assert len(traces) == 2
     assert_flow_conserved(routed, inst)
-
-
-def test_literal_balance_is_diagnostic_only():
-    inst = make_line_instance(3)
-    sol = _line_solution(inst, gateway_site=2)
-    routed, _ = route_flows(sol, inst)
-    # at the transit node the additive form counts both directions of travel
-    assert literal_flow_balance(routed, inst, 1) == pytest.approx(4.0)
-    assert literal_flow_balance(routed, inst, 0) == pytest.approx(4.0)
-    assert literal_flow_balance(routed, inst, 2) == pytest.approx(0.0)
 
 
 def test_hop_distances_and_throughput_report(standard_instance, rng):

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from meshplan.instance import (
-    CORNER,
-    EDGE,
-    INTERNAL,
     InstanceError,
     RadioParams,
     build_grid_instance,
-    classify_site,
     connectivity_matrix,
     coverage_matrix,
     default_gateway_count,
@@ -60,16 +56,6 @@ def test_connectivity_is_lattice_at_unit_range(standard_instance):
         assert set(np.flatnonzero(b[j])) == set(
             grid_neighbors(standard_instance, j)
         )
-
-
-def test_classify_site_counts(standard_instance):
-    classes = [
-        classify_site(standard_instance, j)
-        for j in range(standard_instance.num_sites)
-    ]
-    assert classes.count(CORNER) == 4
-    assert classes.count(EDGE) == 16
-    assert classes.count(INTERNAL) == 16
 
 
 def test_grid_neighbors_order_north_east_south_west():

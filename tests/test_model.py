@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_line_instance, make_square_instance
+from conftest import dense_links, make_line_instance, make_square_instance
 from meshplan.construct import construct_feasible
 from meshplan.model import (
     FEAS_TOL,
     Solution,
+    SolutionFormatError,
     VARIANTS,
     check_constraints,
     dominates,
@@ -83,9 +84,10 @@ def test_coverage_modes_differ():
 def test_link_balance_minimum_residual():
     inst = make_square_instance(capacity_overrides=((0, 1, 0, 10.0),))
     sol = Solution.empty(inst)
-    sol.L[0, 1, 0] = 1
-    sol.L[1, 3, 1] = 1
-    sol.f[0, 1, 0] = 4.0
+    with dense_links(sol) as (L, f):
+        L[0, 1, 0] = 1
+        L[1, 3, 1] = 1
+        f[0, 1, 0] = 4.0
     assert evaluate_link_balance(sol, inst) == pytest.approx(6.0)
     assert evaluate_link_balance(Solution.empty(inst), inst) == 0.0
 
@@ -160,25 +162,29 @@ def test_uncovered_assignment_fails_c2(standard_instance, feasible):
 def test_radio_budget_fails_c3(feasible, standard_instance):
     bad = feasible.copy()
     j = int(np.argmax(bad.z))
-    bad.L[j, :, :] = 1
+    with dense_links(bad) as (L, _):
+        L[j, :, :] = 1
     assert "C3" in _failed_ids(bad, standard_instance)
 
 
 def test_channel_reuse_fails_c5_and_c6(feasible, standard_instance):
     bad = feasible.copy()
-    bad.L[0, 1, 0] = 1
-    bad.L[0, 2, 0] = 1
+    with dense_links(bad) as (L, _):
+        L[0, 1, 0] = 1
+        L[0, 2, 0] = 1
     ids = _failed_ids(bad, standard_instance)
     assert "C5" in ids
     worse = feasible.copy()
-    worse.L[0, 1, 0] = 1
-    worse.L[2, 0, 0] = 1
+    with dense_links(worse) as (L, _):
+        L[0, 1, 0] = 1
+        L[2, 0, 0] = 1
     assert "C6" in _failed_ids(worse, standard_instance)
 
 
 def test_link_without_range_fails_c7(feasible, standard_instance):
     bad = feasible.copy()
-    bad.L[0, 35, 0] = 1
+    with dense_links(bad) as (L, _):
+        L[0, 35, 0] = 1
     assert "C7" in _failed_ids(bad, standard_instance)
 
 
@@ -201,7 +207,8 @@ def test_access_overload_fails_c9():
 def test_capacity_and_conservation_fail_c10_c11(feasible, standard_instance):
     bad = feasible.copy()
     j, l, k = bad.link_list()[0]
-    bad.f[j, l, k] = standard_instance.C_max + 1.0
+    with dense_links(bad) as (_, f):
+        f[j, l, k] = standard_instance.C_max + 1.0
     ids = _failed_ids(bad, standard_instance)
     assert "C10" in ids and "C11" in ids
 
@@ -213,8 +220,9 @@ def test_hop_bound_fails_c12():
     sol.relay[1:] = 1
     sol.gateway[5] = 1
     sol.x[0, 0] = 1
-    for j in range(5):
-        sol.L[j, j + 1, j % 2] = 1
+    with dense_links(sol) as (L, _):
+        for j in range(5):
+            L[j, j + 1, j % 2] = 1
     assert "C12" in _failed_ids(sol, inst)
 
 
@@ -228,32 +236,37 @@ def _line_backbone(n_sites=4, **overrides):
     inst = make_line_instance(n_sites, **overrides)
     sol = Solution.empty(inst)
     sol.relay[:] = 1
+    with dense_links(sol) as (L, _):
+        for j in range(n_sites - 1):
+            L[j, j + 1, j % 2] = 1
     for j in range(n_sites - 1):
-        sol.L[j, j + 1, j % 2] = 1
         sol.w[j, j % 2] = sol.w[j + 1, j % 2] = 1
     return inst, sol
 
 
 def test_c7_violations_exact():
     inst, sol = _line_backbone()
-    sol.L[0, 2, 0] = 1  # out of backbone range
-    sol.L[1, 2, 1] = 0
+    with dense_links(sol) as (L, _):
+        L[0, 2, 0] = 1  # out of backbone range
+        L[1, 2, 1] = 0
+        L[2, 1, 1] = 1  # in range, channel 1 inactive at both ends
     sol.w[1, 1] = sol.w[2, 1] = 0
-    sol.L[2, 1, 1] = 1  # in range, channel 1 inactive at both ends
     assert _violations(sol, inst, "C7") == [(0, 2, 0), (2, 1, 1)]
 
 
 def test_c10_c11_violations_exact():
     inst, sol = _line_backbone()
-    sol.f[0, 1, 0] = inst.C_max + 1.0  # established link, over capacity
-    sol.f[3, 2, 0] = 1.0  # no link (3, 2, 0) established
+    with dense_links(sol) as (_, f):
+        f[0, 1, 0] = inst.C_max + 1.0  # established link, over capacity
+        f[3, 2, 0] = 1.0  # no link (3, 2, 0) established
     assert _violations(sol, inst, "C10") == [(0, 1, 0), (3, 2, 0)]
     assert _violations(sol, inst, "C11") == [(0,), (1,), (2,), (3,)]
 
 
 def test_c10_tolerates_flow_within_tol_on_missing_link():
     inst, sol = _line_backbone()
-    sol.f[3, 2, 0] = FEAS_TOL
+    with dense_links(sol) as (_, f):
+        f[3, 2, 0] = FEAS_TOL
     assert _violations(sol, inst, "C10") == []
 
 
@@ -265,8 +278,9 @@ def test_c12_violations_exact_at_hop_bound(gateway):
     sol.relay[1:] = 1
     sol.gateway[gateway] = 1
     sol.x[0, 0] = 1
-    for j in range(5):
-        sol.L[j, j + 1, j % 2] = 1
+    with dense_links(sol) as (L, _):
+        for j in range(5):
+            L[j, j + 1, j % 2] = 1
     expected = [(0,)] if gateway > inst.A else []
     assert _violations(sol, inst, "C12") == expected
 
@@ -281,8 +295,9 @@ def test_c12_without_gateway_lists_every_demand_site():
 
 def test_c15_violations_exact():
     inst, sol = _line_backbone()
-    sol.L[1, 2, 1] = 2
-    sol.f[2, 3, 0] = -1.0
+    with dense_links(sol) as (L, f):
+        L[1, 2, 1] = 2
+        f[2, 3, 0] = -1.0
     sol.F[1] = -0.5
     assert _violations(sol, inst, "C15") == [
         ("L", 1, 2, 1), ("f", 2, 3, 0), ("F", 1),
@@ -291,8 +306,9 @@ def test_c15_violations_exact():
 
 def test_violation_indices_are_python_ints():
     inst, sol = _line_backbone()
-    sol.L[0, 2, 0] = 1
-    sol.f[3, 2, 0] = 1.0
+    with dense_links(sol) as (L, f):
+        L[0, 2, 0] = 1
+        f[3, 2, 0] = 1.0
     for cid in ("C7", "C10", "C11"):
         for v in _violations(sol, inst, cid):
             assert all(type(i) is int for i in v)
@@ -317,7 +333,8 @@ def test_domain_violations_fail_c15(feasible, standard_instance):
     bad.ap[0] = 2
     assert "C15" in _failed_ids(bad, standard_instance)
     neg = feasible.copy()
-    neg.f[0, 1, 0] = -1.0
+    with dense_links(neg) as (_, f):
+        f[0, 1, 0] = -1.0
     assert "C15" in _failed_ids(neg, standard_instance)
 
 
@@ -334,7 +351,7 @@ def test_solution_round_trip(tmp_path, feasible, standard_instance):
     path = tmp_path / "sol.json"
     save_solution(feasible, path)
     loaded = load_solution(path)
-    for name in ("ap", "relay", "gateway", "x", "w", "L"):
+    for name in ("ap", "relay", "gateway", "x", "w", "links", "L"):
         assert np.array_equal(getattr(loaded, name), getattr(feasible, name))
     assert np.allclose(loaded.f, feasible.f)
     assert np.allclose(loaded.F, feasible.F)
@@ -345,4 +362,24 @@ def test_solution_from_dict_rejects_bad_version(feasible):
     data = solution_to_dict(feasible)
     data["version"] = 0
     with pytest.raises(ValueError):
+        solution_from_dict(data)
+
+
+@pytest.mark.parametrize("key, entry", [
+    ("links", [-1, 0, 0]),
+    ("links", [0, 36, 0]),
+    ("links", [0, 1, 11]),
+    ("flows", [0, -1, 0, 1.0]),
+    ("x", [-1, -1]),
+    ("x", [0, 36]),
+    ("w", [-1, 0]),
+    ("w", [0, 11]),
+    ("F", [-1, 1.0]),
+    ("gateway", -1),
+    ("ap", 36),
+])
+def test_solution_from_dict_rejects_out_of_range_indices(feasible, key, entry):
+    data = solution_to_dict(feasible)
+    data[key].append(entry)
+    with pytest.raises(SolutionFormatError, match="out of range"):
         solution_from_dict(data)

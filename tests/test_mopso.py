@@ -25,8 +25,9 @@ def _entry_sol(instance_like=4):
         gateway=np.zeros(instance_like, dtype=np.uint8),
         x=np.zeros((1, instance_like), dtype=np.uint8),
         w=np.zeros((instance_like, 2), dtype=np.uint8),
-        L=np.zeros((instance_like, instance_like, 2), dtype=np.uint8),
-        f=np.zeros((instance_like, instance_like, 2), dtype=np.float64),
+        links=np.zeros((0, 3), dtype=np.int64),
+        L=np.zeros(0, dtype=np.uint8),
+        f=np.zeros(0, dtype=np.float64),
         F=np.zeros(instance_like, dtype=np.float64),
     )
     return sol
@@ -192,6 +193,7 @@ def test_run_serial_equals_parallel(standard_instance):
         serial.archive.objectives_matrix(), parallel.archive.objectives_matrix()
     )
     assert np.array_equal(serial.incumbent.ap, parallel.incumbent.ap)
+    assert np.array_equal(serial.incumbent.links, parallel.incumbent.links)
     assert np.array_equal(serial.incumbent.L, parallel.incumbent.L)
     assert serial.stats == parallel.stats
 
