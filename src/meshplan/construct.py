@@ -29,13 +29,17 @@ class ConstructionInfeasibleError(Exception):
     """No feasible solution produced within the retry budget."""
 
 
+class GatewayBudgetError(ValueError):
+    """More gateways requested than the plan has installed nodes."""
+
+
 #: Failures of one rebuild attempt; every retry loop discards the attempt
-#: and draws again. ValueError covers an unreachable gateway count.
+#: and draws again. Any other exception is a bug and propagates.
 REBUILD_FAILURES = (
     ChannelAssignmentError,
     ConstructionInfeasibleError,
+    GatewayBudgetError,
     RoutingInfeasibleError,
-    ValueError,
 )
 
 
@@ -210,7 +214,7 @@ def select_gateways(
         raise ValueError("gateway count must be >= 1")
     installed = np.flatnonzero(partial.z == 1)
     if count > len(installed):
-        raise ValueError(
+        raise GatewayBudgetError(
             f"gateway count {count} exceeds {len(installed)} installed nodes"
         )
     missing = count - int(partial.gateway.sum())
@@ -270,7 +274,13 @@ def rebuild_pipeline(
     rng: np.random.Generator,
     gateway_count: int | None = None,
 ) -> Solution:
-    """Re-run placement steps on a partial (roles and assignments kept)."""
+    """Re-run placement steps on a partial (roles and assignments kept).
+
+    Only ap, relay, gateway and x are read. A plan this returned is a fixed
+    point: rebuilding a copy draws nothing from `rng` and reproduces every
+    array byte for byte: no step finds a demand point to place, a component
+    to join, a node short of neighbors or a gateway missing.
+    """
     partial.w[:] = 0
     partial.clear_links()
     partial.F[:] = 0.0

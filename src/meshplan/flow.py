@@ -53,8 +53,9 @@ def traces_to_json(traces: list, indent: int = 2) -> str:
 def hop_distances(solution: Solution) -> np.ndarray:
     """All-pairs hop counts over established links; UNREACHABLE where cut off."""
     s = solution.num_sites
-    indptr, indices = adjacency_csr(solution.established_adjacency())
-    return bfs_hops_multi(indptr, indices, np.arange(s, dtype=np.int32), s)
+    j, l = solution.links[solution.L != 0, :2].T.tolist()
+    hops = bfs_hops_multi(*adjacency_csr(s, j, l), range(s), s)
+    return np.array(hops, dtype=np.int32).reshape(s, s)
 
 
 def gateway_throughputs(solution: Solution) -> list:
@@ -99,24 +100,18 @@ def route_flows(
 
     # Undirected link inventory: (u, v) with u < v -> sorted channel list, and
     # the capacity of each (u, v, k) (capacities are symmetric in u and v).
-    js, ls, ks = out.links[out.L == 1].T
+    js, ls, ks = out.links[out.L == 1].T.tolist()
     link_caps = instance.link_capacities()[js, ls, ks].tolist()
     channels: dict[tuple[int, int], list[int]] = {}
     cap: dict[tuple[int, int, int], float] = {}
-    for j, l, k, c in zip(js.tolist(), ls.tolist(), ks.tolist(), link_caps):
+    for j, l, k, c in zip(js, ls, ks, link_caps):
         u, v = (j, l) if j < l else (l, j)
         channels.setdefault((u, v), []).append(k)
         cap[(u, v, k)] = c
     for key in channels:
         channels[key].sort()
 
-    adj = np.zeros((s, s), dtype=np.uint8)
-    if channels:
-        us, vs = np.array(list(channels)).T
-        adj[us, vs] = 1
-        adj[vs, us] = 1
-    indptr, indices = adjacency_csr(adj)
-    indptr_l, indices_l = indptr.tolist(), indices.tolist()
+    indptr, indices = adjacency_csr(s, js, ls)
 
     demand_sites = np.flatnonzero(loads > FEAS_TOL).tolist()
     gateways = np.flatnonzero(out.gateway == 1).tolist()
@@ -128,10 +123,7 @@ def route_flows(
     if demand_sites and not gateways:
         raise RoutingInfeasibleError(demand_sites[0], "no gateway selected")
 
-    if gateways:
-        gw_hops = bfs_hops_multi(
-            indptr, indices, np.array(gateways, dtype=np.int32), s, A
-        ).tolist()
+    gw_hops = bfs_hops_multi(indptr, indices, gateways, s, A)
 
     def admissible_channel(u: int, v: int, demand: float):
         """Lowest channel on link u-v that can carry demand in direction u->v."""
@@ -174,8 +166,8 @@ def route_flows(
                 traces.append(RoutingTrace(site, gw, [site], demand))
                 routed = True
                 break
-            cur_adj = None
-            cur_indptr, cur_indices = indptr_l, indices_l
+            dropped = set()
+            cur_indptr, cur_indices = indptr, indices
             dist = gw_hops[gateways.index(gw)]
             for _ in range(max_path_tries):
                 if dist[site] == UNREACHABLE:
@@ -187,13 +179,12 @@ def route_flows(
                     traces.append(RoutingTrace(site, gw, path, demand))
                     routed = True
                     break
-                if cur_adj is None:
-                    cur_adj = adj.copy()
-                cur_adj[bad[0], bad[1]] = 0
-                cur_adj[bad[1], bad[0]] = 0
-                csr = adjacency_csr(cur_adj)
-                dist = bfs_hops(*csr, gw, s, A).tolist()
-                cur_indptr, cur_indices = csr[0].tolist(), csr[1].tolist()
+                dropped.add((min(bad), max(bad)))
+                live = [pair for pair in channels if pair not in dropped]
+                cur_indptr, cur_indices = adjacency_csr(
+                    s, [u for u, _ in live], [v for _, v in live]
+                )
+                dist = bfs_hops(cur_indptr, cur_indices, gw, s, A)
             if routed:
                 break
         if not routed:

@@ -4,6 +4,9 @@ Plain numpy/Python, one implementation each. Archive bytes depend on the
 exact floating-point summation order of `crowding_distance_kernel` and on
 the ascending neighbor order of `adjacency_csr`; keep both when editing.
 
+Hop graphs are small and walked in Python, so `adjacency_csr` builds their
+CSR as Python lists straight from edge lists, and the BFS kernels return lists.
+
 The BFS kernels take an optional hop `limit`: nodes more than `limit` hops
 from the source read UNREACHABLE, exactly as if they were cut off, and every
 node within `limit` hops gets its true hop count. `limit=None` is the full
@@ -22,11 +25,12 @@ UNREACHABLE = -1
 NUMBA_ENABLED = False
 
 
-def _bfs(indptr, indices, source, n, limit):
-    """bfs_hops over CSR arrays already converted to Python lists."""
+def bfs_hops(indptr, indices, source, n, limit=None):
+    """Hop counts from source over a CSR adjacency, as a list; UNREACHABLE
+    where cut off or more than `limit` hops away."""
     dist = [UNREACHABLE] * n
     dist[source] = 0
-    frontier = [int(source)]
+    frontier = [source]
     depth = 0
     while frontier and (limit is None or depth < limit):
         depth += 1
@@ -40,20 +44,9 @@ def _bfs(indptr, indices, source, n, limit):
     return dist
 
 
-def bfs_hops(indptr, indices, source, n, limit=None):
-    """Hop counts from source over a CSR adjacency; UNREACHABLE where cut off
-    or more than `limit` hops away."""
-    return np.array(
-        _bfs(indptr.tolist(), indices.tolist(), source, n, limit), dtype=np.int32
-    )
-
-
 def bfs_hops_multi(indptr, indices, sources, n, limit=None):
-    """One `bfs_hops` row per source, stacked into an (len(sources), n) array."""
-    indptr, indices = indptr.tolist(), indices.tolist()
-    return np.array(
-        [_bfs(indptr, indices, src, n, limit) for src in sources], dtype=np.int32
-    ).reshape(len(sources), n)
+    """One `bfs_hops` list per source, in source order."""
+    return [bfs_hops(indptr, indices, src, n, limit) for src in sources]
 
 
 def pareto_mask(values):
@@ -87,13 +80,19 @@ def crowding_distance_kernel(values):
     return cd
 
 
-def adjacency_csr(adj: np.ndarray):
-    """CSR (indptr, indices) from a dense boolean adjacency matrix.
+def adjacency_csr(n, heads, tails):
+    """Undirected CSR (indptr, indices) lists over n nodes from edge lists.
 
-    Neighbor lists come out in ascending index order, which downstream
-    tie-breaking relies on.
+    Each (heads[i], tails[i]) pair links both ways; repeated pairs, in either
+    direction, give one neighbor entry. Neighbor lists come out in ascending
+    index order, which downstream tie-breaking relies on.
     """
-    indptr = np.zeros(adj.shape[0] + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.count_nonzero(adj, axis=1))
-    indices = np.nonzero(adj)[1].astype(np.int32)
+    nbrs = [set() for _ in range(n)]
+    for u, v in zip(heads, tails):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    indptr, indices = [0], []
+    for row in nbrs:
+        indices.extend(sorted(row))
+        indptr.append(len(indices))
     return indptr, indices

@@ -146,13 +146,6 @@ class Solution:
         """Established links as stored (j, l, k), ascending."""
         return _rows(self.links, self.L == 1)
 
-    def established_adjacency(self) -> np.ndarray:
-        """Undirected site adjacency induced by established links."""
-        j, l, _ = self.links[self.L != 0].T
-        adj = np.zeros((self.num_sites, self.num_sites), dtype=np.uint8)
-        adj[j, l] = adj[l, j] = 1
-        return adj
-
 
 def evaluate_cost(solution: Solution) -> float:
     """Deployed node count; a gateway flag adds one on top of its node."""
@@ -348,20 +341,14 @@ def check_constraints(
     add("C11", "flow conservation at every site", _where(np.abs(residual) > tol))
 
     # C12: every demand site within A established-link hops of a gateway
-    demand_sites = np.flatnonzero(loads > tol)
-    gateways = np.flatnonzero(solution.gateway == 1)
-    bad = []
-    if len(demand_sites) > 0:
-        if len(gateways) == 0:
-            bad = [(site,) for site in demand_sites.tolist()]
-        else:
-            indptr, indices = adjacency_csr(solution.established_adjacency())
-            hops = bfs_hops_multi(
-                indptr, indices, gateways.astype(np.int32), instance.num_sites,
-                instance.A,
-            )
-            near = (hops[:, demand_sites] != UNREACHABLE).any(axis=0)
-            bad = [(site,) for site in demand_sites[~near].tolist()]
+    # (with no gateway at all, every demand site fails)
+    indptr, indices = adjacency_csr(s, j[L != 0].tolist(), l[L != 0].tolist())
+    gateways = np.flatnonzero(solution.gateway == 1).tolist()
+    hops = bfs_hops_multi(indptr, indices, gateways, s, instance.A)
+    bad = [
+        (site,) for site in np.flatnonzero(loads > tol).tolist()
+        if all(row[site] == UNREACHABLE for row in hops)
+    ]
     add("C12", f"demand sites within A={instance.A} hops of a gateway", bad)
 
     # C13: throughput only at gateway-flagged sites

@@ -191,6 +191,10 @@ def mutate_solution(
     pipeline on the survivors; an attempt that fails channelization, routing
     or the constraint check is discarded. After `retries` failures the
     unmutated `fallback` is returned.
+
+    `fallback` must be a feasible `rebuild_pipeline` output, as every
+    particle's plan is: an attempt whose ap, relay, gateway and x equal it
+    returns it without the rebuild and check, which would reproduce it.
     """
     for _ in range(retries):
         work = base.copy()
@@ -208,6 +212,11 @@ def mutate_solution(
             if draw < mut and len(targets) > 0:
                 work.gateway[site] = 0
                 work.gateway[targets[rng.integers(len(targets))]] = 1
+        if all(
+            np.array_equal(getattr(work, name), getattr(fallback, name))
+            for name in ("ap", "relay", "gateway", "x")
+        ):
+            return fallback
         try:
             rebuilt = rebuild_pipeline(work, instance, rng, gateway_count)
         except REBUILD_FAILURES:

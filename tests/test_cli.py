@@ -60,26 +60,40 @@ def test_plan_dump_routes(tmp_path):
     assert routes and {"site", "gateway", "path", "demand"} == set(routes[0])
 
 
-#: sha256 of a fixed `plan --dump-routes` run's artifacts. Any change to
-#: these bytes changes what users get for a fixed seed and must be deliberate.
-GOLDEN_PLAN = [
-    "plan", "--grid", "6x6", "--dps", "200", "--swarm", "20", "--gmax", "5",
-    "--seed", "0", "--dump-routes",
+#: sha256 of fixed `plan` runs' artifacts. Any change to these bytes changes
+#: what users get for a fixed seed and must be deliberate. The 4x4 run takes
+#: 30 generations of mutation, about a third of whose attempts leave the
+#: parent plan unchanged.
+GOLDEN_PLANS = [
+    (
+        ["plan", "--grid", "6x6", "--dps", "200", "--swarm", "20", "--gmax", "5",
+         "--seed", "0", "--dump-routes"],
+        {
+            "archive.json": "6911f603beb78493c80e63039efac1287dfb3499de162907188d83392f696480",
+            "stats.csv": "ce2c39b7ffe9ac17771925298b235ae9b0f6f1cf7ea5bc636878c065a4e44f13",
+            "routes.json": "e2182139acbf2e840177456d6bd4864b19e97b2858053f9d00d1e4738fee3d01",
+        },
+    ),
+    (
+        ["plan", "--grid", "4x4", "--dps", "30", "--swarm", "20", "--gmax", "30",
+         "--seed", "0"],
+        {
+            "archive.json": "8c478d966e17d6b63d1a818b6421404157b1565b35632a2050ba2248b03f1aa0",
+            "stats.csv": "bf5b22c0fd541221574481f513f37d62f9d03c847c095b3172d3c5978f937844",
+        },
+    ),
 ]
-GOLDEN_SHA256 = {
-    "archive.json": "6911f603beb78493c80e63039efac1287dfb3499de162907188d83392f696480",
-    "stats.csv": "ce2c39b7ffe9ac17771925298b235ae9b0f6f1cf7ea5bc636878c065a4e44f13",
-    "routes.json": "e2182139acbf2e840177456d6bd4864b19e97b2858053f9d00d1e4738fee3d01",
-}
 
 
 def test_plan_golden_bytes(tmp_path):
-    assert main([*GOLDEN_PLAN, "--out", str(tmp_path)]) == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in GOLDEN_SHA256
-    }
-    assert digests == GOLDEN_SHA256
+    for n, (args, golden) in enumerate(GOLDEN_PLANS):
+        out = tmp_path / str(n)
+        assert main([*args, "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in golden
+        }
+        assert digests == golden, args
 
 
 def test_plan_loads_instance_file(tmp_path):
@@ -163,6 +177,18 @@ def test_verify_toy_passes(tmp_path, capsys):
     assert code == 0, printed
     assert "on_front_fraction: 1" in printed
     assert "verdict: pass" in printed
+
+
+#: sha256 of `verify --instance <toy> --seed 0` stdout (default swarm and
+#: generations): the verdict report for a fixed seed.
+GOLDEN_VERIFY_STDOUT = "50cdcf3d5675c9ccefec498caa99eaf18736bf577272bc834b1f52f90ad0c3a6"
+
+
+def test_verify_golden_stdout(tmp_path, capsys):
+    code = main(["verify", "--instance", TOY, "--seed", "0", "--out", str(tmp_path)])
+    printed = capsys.readouterr().out
+    assert code == 0, printed
+    assert hashlib.sha256(printed.encode()).hexdigest() == GOLDEN_VERIFY_STDOUT
 
 
 def test_verify_unreachable_threshold_fails(tmp_path, capsys):

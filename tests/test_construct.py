@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from meshplan import construct, mopso
 from conftest import (
     assert_feasible,
     dense,
@@ -11,6 +14,7 @@ from conftest import (
 from meshplan.construct import (
     ChannelAssignmentError,
     ConstructionInfeasibleError,
+    GatewayBudgetError,
     assign_channels,
     connect_backbone,
     construct_feasible,
@@ -295,3 +299,85 @@ def test_construct_retries_past_backbone_failure():
     with pytest.raises(ConstructionInfeasibleError, match="in 3 attempts") as err:
         construct_feasible(inst, np.random.default_rng(0), max_retries=3)
     assert "degree 2" in str(err.value)
+
+
+PLAN_ARRAYS = ("ap", "relay", "gateway", "x", "w", "links", "L", "f", "F")
+
+
+@st.composite
+def _planning_cases(draw):
+    """A small grid instance, a gateway count (None: automatic) and a seed."""
+    radios = draw(st.integers(2, 4))
+    radio = RadioParams(
+        radios=radios,
+        channels=draw(st.integers(radios, 6)),
+        capacity=draw(st.sampled_from([6.0, 12.0, 54.0])),
+    )
+    inst = build_grid_instance(
+        draw(st.integers(2, 4)), draw(st.integers(2, 4)),
+        n_dps=draw(st.integers(1, 30)), radio=radio, seed=draw(st.integers(0, 999)),
+        random_matrix_density=draw(st.sampled_from([None, None, 0.5, 0.75, 1.0])),
+    )
+    return inst, draw(st.sampled_from([None, 1, 2, 3])), draw(st.integers(0, 999))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planning_cases())
+def test_rebuild_pipeline_output_is_a_fixed_point(case):
+    """Rebuilding a copy of any plan the pipeline returned (constructed or
+    mutated) draws nothing and reproduces every array byte for byte; the
+    unchanged-mutation shortcut in `mutate_solution` relies on this."""
+    inst, gateway_count, seed = case
+    rng = np.random.default_rng(seed)
+    try:
+        plan = construct_feasible(inst, rng, max_retries=20, gateway_count=gateway_count)
+    except ConstructionInfeasibleError:
+        assume(False)
+    plans = [plan]
+    for mut in (0.3, 0.6, 1.0):
+        mutated = mopso.mutate_solution(
+            plan, plan, inst, rng, mut, gateway_count, retries=4
+        )
+        if mutated is not plan:
+            plans.append(mutated)
+    for plan in plans:
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        again = rebuild_pipeline(plan.copy(), inst, rng, gateway_count)
+        assert rng.bit_generator.state == state
+        for name in PLAN_ARRAYS:
+            want, got = getattr(plan, name), getattr(again, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_pipeline_value_error_propagates(standard_instance, rng, monkeypatch):
+    """A ValueError inside a step is a bug, not a failed attempt: neither
+    retry loop swallows it."""
+    plan = construct_feasible(standard_instance, rng)
+
+    def broken(*args):
+        raise ValueError("bug in a pipeline step")
+
+    monkeypatch.setattr(construct, "place_relays", broken)
+    with pytest.raises(ValueError, match="bug in a pipeline step"):
+        construct_feasible(standard_instance, rng, max_retries=3)
+    with pytest.raises(ValueError, match="bug in a pipeline step"):
+        mopso.mutate_solution(plan, plan, standard_instance, rng, mut=1.0)
+
+
+def test_gateway_budget_is_retried(standard_instance, rng):
+    """Asking for more gateways than installed nodes fails each attempt with
+    GatewayBudgetError, which both retry loops treat as a failed attempt."""
+    plan = construct_feasible(standard_instance, rng)
+    too_many = standard_instance.num_sites + 1
+    with pytest.raises(ConstructionInfeasibleError, match="in 3 attempts") as err:
+        construct_feasible(standard_instance, rng, max_retries=3,
+                           gateway_count=too_many)
+    assert "exceeds" in str(err.value)
+    out = mopso.mutate_solution(
+        plan, plan, standard_instance, rng, mut=1.0, gateway_count=too_many,
+        retries=3,
+    )
+    assert out is plan
+    assert issubclass(GatewayBudgetError, ValueError)  # CLI exit code 1 kept

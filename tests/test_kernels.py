@@ -14,64 +14,73 @@ from meshplan.kernels import (
 from meshplan.model import dominates
 
 
-def _random_graph(rng, n, density=0.25):
-    adj = rng.random((n, n)) < density
-    adj = np.triu(adj, 1)
-    return (adj | adj.T).astype(np.uint8)
+def _random_edges(rng, n, m):
+    """m random (head, tail) pairs on n nodes: repeats, both directions and
+    self-loops included."""
+    return rng.integers(0, n, m).tolist(), rng.integers(0, n, m).tolist()
+
+
+def _dense(n, heads, tails):
+    adj = np.zeros((n, n), dtype=bool)
+    adj[heads, tails] = adj[tails, heads] = True
+    return adj
 
 
 def test_adjacency_csr_ascending_neighbors(rng):
-    adj = _random_graph(rng, 12)
-    indptr, indices = adjacency_csr(adj)
+    heads, tails = _random_edges(rng, 12, 40)
+    indptr, indices = adjacency_csr(12, heads, tails)
+    assert isinstance(indptr, list) and isinstance(indices, list)
     assert indptr[0] == 0 and indptr[-1] == len(indices)
+    adj = _dense(12, heads, tails)
     for u in range(12):
-        row = indices[indptr[u]:indptr[u + 1]]
-        assert list(row) == sorted(row)
-        assert set(row) == set(np.flatnonzero(adj[u]))
+        assert indices[indptr[u]:indptr[u + 1]] == np.flatnonzero(adj[u]).tolist()
 
 
 def test_adjacency_csr_empty_graph():
-    indptr, indices = adjacency_csr(np.zeros((4, 4), dtype=np.uint8))
-    assert list(indptr) == [0, 0, 0, 0, 0]
-    assert len(indices) == 0
+    assert adjacency_csr(4, [], []) == ([0, 0, 0, 0, 0], [])
+
+
+def test_adjacency_csr_merges_duplicates_and_directions():
+    # 0-1 given three times in both directions, 2-3 once, a self-loop at 3
+    indptr, indices = adjacency_csr(4, [0, 1, 0, 3, 3], [1, 0, 1, 2, 3])
+    assert indptr == [0, 1, 2, 3, 5]
+    assert indices == [1, 0, 3, 2, 3]
 
 
 def test_bfs_hops_path_graph():
-    adj = np.zeros((5, 5), dtype=np.uint8)
-    for j in range(4):
-        adj[j, j + 1] = adj[j + 1, j] = 1
-    indptr, indices = adjacency_csr(adj)
-    assert list(bfs_hops(indptr, indices, 0, 5)) == [0, 1, 2, 3, 4]
-    assert list(bfs_hops(indptr, indices, 2, 5)) == [2, 1, 0, 1, 2]
+    indptr, indices = adjacency_csr(5, [0, 1, 2, 3], [1, 2, 3, 4])
+    assert bfs_hops(indptr, indices, 0, 5) == [0, 1, 2, 3, 4]
+    assert bfs_hops(indptr, indices, 2, 5) == [2, 1, 0, 1, 2]
 
 
 def test_bfs_hops_disconnected_component():
-    adj = np.zeros((4, 4), dtype=np.uint8)
-    adj[0, 1] = adj[1, 0] = 1
-    indptr, indices = adjacency_csr(adj)
-    dist = bfs_hops(indptr, indices, 0, 4)
-    assert list(dist) == [0, 1, UNREACHABLE, UNREACHABLE]
+    indptr, indices = adjacency_csr(4, [0], [1])
+    assert bfs_hops(indptr, indices, 0, 4) == [0, 1, UNREACHABLE, UNREACHABLE]
+
+
+def test_bfs_hops_ignores_self_loops_and_repeats():
+    indptr, indices = adjacency_csr(3, [0, 0, 1, 1, 2], [0, 1, 0, 2, 1])
+    assert bfs_hops(indptr, indices, 0, 3) == [0, 1, 2]
+    assert bfs_hops(indptr, indices, 0, 3, 1) == [0, 1, UNREACHABLE]
 
 
 def test_bfs_hops_multi_stacks_single_source(rng):
-    adj = _random_graph(rng, 15)
-    indptr, indices = adjacency_csr(adj)
-    sources = np.array([0, 3, 7], dtype=np.int32)
+    indptr, indices = adjacency_csr(15, *_random_edges(rng, 15, 25))
+    sources = [0, 3, 7]
     multi = bfs_hops_multi(indptr, indices, sources, 15)
-    for row, src in zip(multi, sources):
-        assert np.array_equal(row, bfs_hops(indptr, indices, int(src), 15))
+    assert multi == [bfs_hops(indptr, indices, src, 15) for src in sources]
 
 
 @st.composite
 def _graph_and_limit(draw):
-    """Random undirected graph on n <= 20 nodes (often disconnected) and a limit."""
+    """Random edge lists on n <= 20 nodes (often disconnected, with repeats,
+    both directions and self-loops) and a hop limit."""
     n = draw(st.integers(1, 20))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
-    adj = np.zeros((n, n), dtype=np.uint8)
-    for u, v in edges:
-        adj[u, v] = adj[v, u] = 1
-    return adj, draw(st.integers(0, n))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    heads = [u for u, _ in edges]
+    tails = [v for _, v in edges]
+    return n, heads, tails, draw(st.integers(0, n))
 
 
 def _hops_reference(adj, src):
@@ -90,26 +99,24 @@ def _hops_reference(adj, src):
 @settings(max_examples=200, deadline=None)
 @given(_graph_and_limit())
 def test_bounded_bfs_truncates_full_bfs(case):
-    adj, limit = case
-    n = adj.shape[0]
-    indptr, indices = adjacency_csr(adj)
-    sources = np.arange(n, dtype=np.int32)
-    multi = bfs_hops_multi(indptr, indices, sources, n, limit)
-    assert multi.shape == (n, n) and multi.dtype == np.int32
+    n, heads, tails, limit = case
+    adj = _dense(n, heads, tails)
+    indptr, indices = adjacency_csr(n, heads, tails)
+    for u in range(n):
+        assert indices[indptr[u]:indptr[u + 1]] == np.flatnonzero(adj[u]).tolist()
+    multi = bfs_hops_multi(indptr, indices, range(n), n, limit)
+    assert len(multi) == n
     for src in range(n):
         full = bfs_hops(indptr, indices, src, n)
-        assert np.array_equal(full, _hops_reference(adj, src))
-        expected = np.where(full > limit, UNREACHABLE, full)
-        bounded = bfs_hops(indptr, indices, src, n, limit)
-        assert bounded.dtype == np.int32
-        assert np.array_equal(bounded, expected)
-        assert np.array_equal(multi[src], bounded)
+        assert full == _hops_reference(adj, src).tolist()
+        expected = [UNREACHABLE if d > limit else d for d in full]
+        assert bfs_hops(indptr, indices, src, n, limit) == expected
+        assert multi[src] == expected
 
 
 def test_bfs_hops_multi_without_sources():
-    indptr, indices = adjacency_csr(np.zeros((3, 3), dtype=np.uint8))
-    out = bfs_hops_multi(indptr, indices, np.array([], dtype=np.int32), 3, 2)
-    assert out.shape == (0, 3) and out.dtype == np.int32
+    indptr, indices = adjacency_csr(3, [], [])
+    assert bfs_hops_multi(indptr, indices, [], 3, 2) == []
 
 
 def test_pareto_mask_matches_dominance(rng):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import dense, dense_links
 from meshplan.instance import PlanningInstance, connectivity_matrix
-from meshplan.kernels import UNREACHABLE, adjacency_csr, bfs_hops_multi
+from meshplan.kernels import UNREACHABLE
 from meshplan.model import (
     FEAS_TOL,
     Solution,
@@ -70,12 +70,14 @@ def dense_reference(sol, L, f, instance, tol=FEAS_TOL):
         if len(gateways) == 0:
             bad = [(v,) for v in demand_sites.tolist()]
         else:
-            adj = (L != 0).any(axis=2).astype(np.uint8)
-            indptr, indices = adjacency_csr(adj | adj.T)
-            hops = bfs_hops_multi(
-                indptr, indices, gateways.astype(np.int32), instance.num_sites,
-                instance.A,
-            )
+            adj = (L != 0).any(axis=2)
+            adj = adj | adj.T
+            hops = np.full((len(gateways), instance.num_sites), UNREACHABLE)
+            hops[np.arange(len(gateways)), gateways] = 0
+            frontier = hops == 0
+            for depth in range(1, instance.A + 1):  # dense frontier expansion
+                frontier = (frontier @ adj) & (hops == UNREACHABLE)
+                hops[frontier] = depth
             near = (hops[:, demand_sites] != UNREACHABLE).any(axis=0)
             bad = [(v,) for v in demand_sites[~near].tolist()]
     found["C12"] = bad

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import assert_feasible, make_line_instance
+from meshplan import mopso
+from meshplan.construct import construct_feasible
 from meshplan.model import Solution, check_constraints, dominates, evaluate
 from meshplan.mopso import (
     MopsoConfig,
@@ -141,6 +143,42 @@ def test_mutation_falls_back_past_backbone_failure():
         base, base, inst, np.random.default_rng(0), mut=0.0, retries=2
     )
     assert out is base
+
+
+def test_mutation_unchanged_plan_returns_parent(standard_instance, rng, monkeypatch):
+    # a pipeline output rebuilds to itself, so an unchanged draw skips the rebuild
+    plan = construct_feasible(standard_instance, rng)
+
+    def rebuild(*args):
+        raise AssertionError("an unchanged plan was rebuilt")
+
+    monkeypatch.setattr(mopso, "rebuild_pipeline", rebuild)
+    out = mutate_solution(
+        plan, plan, standard_instance, np.random.default_rng(0), mut=0.0
+    )
+    assert out is plan
+
+
+def test_mutation_rebuilds_recombined_base(standard_instance, rng, monkeypatch):
+    plan = construct_feasible(standard_instance, rng)
+    leader = construct_feasible(standard_instance, rng)
+    child_rng = np.random.default_rng(0)
+    base = mopso._recombine(plan, [leader], standard_instance, child_rng)
+    assert not all(
+        np.array_equal(getattr(base, name), getattr(plan, name))
+        for name in ("ap", "relay", "gateway", "x")
+    )
+    real_rebuild = mopso.rebuild_pipeline
+    rebuilt = []
+
+    def rebuild(*args):
+        rebuilt.append(real_rebuild(*args))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(mopso, "rebuild_pipeline", rebuild)
+    out = mutate_solution(base, plan, standard_instance, child_rng, mut=0.0)
+    assert rebuilt and out is rebuilt[-1]
+    assert_feasible(out, standard_instance)
 
 
 def test_config_validation():
