@@ -385,8 +385,8 @@ def cmd_compare(ns) -> int:
 
 def cmd_verify(ns) -> int:
     instance = _build_instance(ns, ns.seed)
+    config = _build_config(ns, ns.seed)  # reject bad flags before the oracle runs
     truth = true_pareto_front(instance, variant=ns.model)
-    config = _build_config(ns, ns.seed)
     result = run(instance, config)
     report = verify_archive(result.archive, truth)
     print(f"true front size: {len(truth)}")

@@ -1,4 +1,4 @@
-"""Flow routing over established links, plus hop and throughput diagnostics.
+"""Flow routing of demand to gateways over established links.
 
 Routing policy: sites are processed in increasing index order; each site's
 whole assigned demand follows one path to its nearest gateway (ties: lowest
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import PlanningInstance
+from .instance import PlanningInstance, row_capacities
 from .kernels import UNREACHABLE, adjacency_csr, bfs_hops, bfs_hops_multi
 from .model import FEAS_TOL, Solution
 
@@ -48,19 +48,6 @@ class RoutingTrace:
 
 def traces_to_json(traces: list, indent: int = 2) -> str:
     return json.dumps([t.to_dict() for t in traces], indent=indent, sort_keys=True)
-
-
-def hop_distances(solution: Solution) -> np.ndarray:
-    """All-pairs hop counts over established links; UNREACHABLE where cut off."""
-    s = solution.num_sites
-    j, l = solution.links[solution.L != 0, :2].T.tolist()
-    hops = bfs_hops_multi(*adjacency_csr(s, j, l), range(s), s)
-    return np.array(hops, dtype=np.int32).reshape(s, s)
-
-
-def gateway_throughputs(solution: Solution) -> list:
-    """(site, throughput) for every gateway-flagged site, ascending."""
-    return [(int(j), float(solution.F[j])) for j in np.flatnonzero(solution.gateway)]
 
 
 def _lex_shortest_path(indptr, indices, dist_from_gw, site, gateway):
@@ -100,8 +87,9 @@ def route_flows(
 
     # Undirected link inventory: (u, v) with u < v -> sorted channel list, and
     # the capacity of each (u, v, k) (capacities are symmetric in u and v).
-    js, ls, ks = out.links[out.L == 1].T.tolist()
-    link_caps = instance.link_capacities()[js, ls, ks].tolist()
+    live = out.links[out.L == 1]
+    js, ls, ks = live.T.tolist()
+    link_caps = row_capacities(instance, live)
     channels: dict[tuple[int, int], list[int]] = {}
     cap: dict[tuple[int, int, int], float] = {}
     for j, l, k, c in zip(js, ls, ks, link_caps):

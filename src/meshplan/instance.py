@@ -114,27 +114,30 @@ class PlanningInstance:
     def num_dps(self) -> int:
         return len(self.dp_traffic)
 
-    def site_position(self, j: int) -> tuple[float, float]:
-        return float(self.sites[j, 0]), float(self.sites[j, 1])
+    def link_capacities(self) -> dict:
+        """{(j, l, k): capacity} of every override, held in both directions.
 
-    def link_capacities(self) -> np.ndarray:
-        """(s, s, K) capacity tensor: uniform C_max plus symmetric overrides."""
-        cached = self._cache.get("caps")
-        if cached is not None:
-            return cached
-        s = self.num_sites
-        cap = np.full((s, s, self.K), self.C_max, dtype=np.float64)
+        Every link without an entry has capacity C_max, so a generated grid
+        gives an empty mapping. Read it per link row with `row_capacities`.
+        """
+        caps = {}
         for j, l, k, value in self.capacity_overrides:
-            cap[j, l, k] = value
-            cap[l, j, k] = value
-        cap.setflags(write=False)
-        self._cache["caps"] = cap
-        return cap
+            caps[j, l, k] = caps[l, j, k] = float(value)
+        return caps
 
     def content_hash(self) -> str:
         """Stable sha256 over the canonical serialized form."""
         blob = json.dumps(instance_to_dict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def row_capacities(instance: PlanningInstance, links: np.ndarray) -> list[float]:
+    """Capacity of each (j, l, k) row of an (m, 3) link array, in row order."""
+    caps = instance.link_capacities()
+    c_max = float(instance.C_max)
+    if not caps:
+        return [c_max] * len(links)
+    return [caps.get(key, c_max) for key in map(tuple, links.tolist())]
 
 
 def build_grid_instance(

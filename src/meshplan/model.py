@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import PlanningInstance, connectivity_matrix, coverage_matrix
+from .instance import (
+    PlanningInstance,
+    connectivity_matrix,
+    coverage_matrix,
+    row_capacities,
+)
 from .kernels import UNREACHABLE, adjacency_csr, bfs_hops_multi
 
 FEAS_TOL = 1e-9
@@ -170,8 +175,8 @@ def evaluate_link_balance(solution: Solution, instance: PlanningInstance) -> flo
     live = solution.L == 1
     if not live.any():
         return 0.0
-    j, l, k = solution.links[live].T
-    return float((instance.link_capacities()[j, l, k] - solution.f[live]).min())
+    caps = np.array(row_capacities(instance, solution.links[live]))
+    return float((caps - solution.f[live]).min())
 
 
 def evaluate_gateway_balance(solution: Solution) -> float:
@@ -248,23 +253,6 @@ class ConstraintReport:
     def failed(self) -> list:
         return [c for c in self.checks if not c.satisfied]
 
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "checks": [
-                {
-                    "id": c.id,
-                    "description": c.description,
-                    "satisfied": c.satisfied,
-                    "violations": [list(v) for v in c.violations],
-                }
-                for c in self.checks
-            ],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
 
 def check_constraints(
     solution: Solution, instance: PlanningInstance, tol: float = FEAS_TOL
@@ -332,7 +320,7 @@ def check_constraints(
         _where(loads > instance.C_max + tol))
 
     # C10: flow only on established links, within capacity
-    caps = instance.link_capacities()[j, l, k]
+    caps = np.array(row_capacities(instance, links))
     add("C10", "flow within established link capacity",
         _rows(links, f > L * caps + tol))
 

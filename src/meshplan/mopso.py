@@ -54,8 +54,6 @@ class MopsoConfig:
     variant: str = "lglb"
     coverage_mode: str = "assigned"
     gateway_count: int | None = None
-    max_retries: int = 500
-    mutation_retries: int = 8
     workers: int = 1
     recombine: bool = False
 
@@ -74,19 +72,9 @@ class MopsoConfig:
             raise ValueError(f"unknown coverage mode: {self.coverage_mode!r}")
         if self.gateway_count is not None and self.gateway_count < 1:
             raise ValueError("gateway count must be >= 1")
-        if self.max_retries < 1 or self.mutation_retries < 1:
-            raise ValueError("retry budgets must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         parse_variant(self.variant)
-
-
-@dataclass
-class Particle:
-    """A particle's current solution and its objective vector."""
-
-    current: Solution
-    objectives: np.ndarray
 
 
 @dataclass
@@ -120,7 +108,7 @@ class ParetoArchive:
         return np.vstack([e.objectives for e in self.entries])
 
     def crowding_distances(self) -> np.ndarray:
-        return crowding_distance(self.objectives_matrix())
+        return crowding_distance_kernel(self.objectives_matrix())
 
     def update(self, solution: Solution, objectives: np.ndarray, seq: int) -> bool:
         vec = np.asarray(objectives, dtype=np.float64)
@@ -147,33 +135,6 @@ class ParetoArchive:
         cds = self.crowding_distances()
         order = np.argsort(-cds, kind="stable")
         self.entries = [self.entries[i] for i in order]
-
-
-def crowding_distance(values) -> np.ndarray:
-    """Per-row crowding distance of an (m, d) objective matrix.
-
-    Boundary points of every objective get infinity; interior points sum the
-    normalized gap between their neighbors along each objective.
-    """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D objective matrix")
-    if arr.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
-    return crowding_distance_kernel(arr)
-
-
-def cheapest_solution(archive: ParetoArchive) -> Solution:
-    """Archive entry with minimum cost; ties by coverage, then entry order."""
-    if not archive.entries:
-        raise ValueError("archive is empty")
-    best = archive.entries[0]
-    for entry in archive.entries[1:]:
-        if (entry.objectives[0], entry.objectives[1]) < (
-            best.objectives[0], best.objectives[1]
-        ):
-            best = entry
-    return best.solution
 
 
 def mutate_solution(
@@ -254,7 +215,6 @@ class MopsoResult:
     """
 
     archive: ParetoArchive
-    particles: list[Particle]
     stats: list[dict]
     incumbent: Solution
     incumbent_objectives: np.ndarray
@@ -305,7 +265,7 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
     config.validate()
     names = VARIANTS[parse_variant(config.variant)]
     archive = ParetoArchive(config.archive_capacity)
-    particles: list[Particle] = []
+    particles: list[Solution] = []
     stats: list[dict] = []
     seq = 0
     incumbent: Solution | None = None
@@ -322,11 +282,9 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
 
     for i in range(config.swarm_size):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, i]))
-        sol = construct_feasible(
-            instance, rng, config.max_retries, config.gateway_count
-        )
+        sol = construct_feasible(instance, rng, gateway_count=config.gateway_count)
         vec = evaluate(sol, instance, config.variant, config.coverage_mode)
-        particles.append(Particle(sol, vec))
+        particles.append(sol)
         admit(sol, vec)
     stats.append(_generation_stats(1, archive, names))
 
@@ -342,17 +300,11 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, g, i])
             )
-            base = particles[i].current
+            base = particles[i]
             if leaders:
                 base = _recombine(base, leaders, instance, rng)
             mutated = mutate_solution(
-                base,
-                particles[i].current,
-                instance,
-                rng,
-                config.mut,
-                config.gateway_count,
-                config.mutation_retries,
+                base, particles[i], instance, rng, config.mut, config.gateway_count
             )
             return mutated, evaluate(
                 mutated, instance, config.variant, config.coverage_mode
@@ -365,14 +317,12 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
             results = [step(i) for i in range(config.swarm_size)]
 
         for i, (mutated, vec) in enumerate(results):
-            particles[i].current = mutated
-            particles[i].objectives = vec
+            particles[i] = mutated
             admit(mutated, vec)
         stats.append(_generation_stats(g, archive, names))
 
     return MopsoResult(
         archive=archive,
-        particles=particles,
         stats=stats,
         incumbent=incumbent,
         incumbent_objectives=incumbent_vec,

@@ -65,57 +65,33 @@ def _check_guard(instance: PlanningInstance) -> None:
         )
 
 
-def _assignments_policy(instance: PlanningInstance, a: np.ndarray):
-    """All maximal DP->site assignments within per-site capacity.
+def _assignments(instance: PlanningInstance, a: np.ndarray, hosts, maximal: bool):
+    """All DP->host assignments within per-site capacity and coverage.
 
-    Maximal means no unassigned DP fits on any site that covers it, matching
-    the construction loop's stopping rule. Yields (choice, loads) where
-    choice[i] is the host site or -1.
+    Yields (choice, loads) where choice[i] is the host site or -1. With
+    `maximal`, only assignments where no unassigned DP fits on a host that
+    covers it, matching the construction loop's stopping rule.
     """
-    n, s = instance.num_dps, instance.num_sites
-    traffic = instance.dp_traffic
-    c_max = instance.C_max
-    choice = np.full(n, -1, dtype=np.int64)
-    loads = np.zeros(s, dtype=np.float64)
-
-    def rec(i):
-        if i == n:
-            for i2 in range(n):
-                if choice[i2] >= 0:
-                    continue
-                for j in range(s):
-                    if a[i2, j] and loads[j] + traffic[i2] <= c_max + FEAS_TOL:
-                        return
-            yield choice.copy(), loads.copy()
-            return
-        yield from rec(i + 1)
-        for j in range(s):
-            if a[i, j] and loads[j] + traffic[i] <= c_max + FEAS_TOL:
-                choice[i] = j
-                loads[j] += traffic[i]
-                yield from rec(i + 1)
-                loads[j] -= traffic[i]
-                choice[i] = -1
-
-    yield from rec(0)
-
-
-def _assignments_raw(instance: PlanningInstance, a: np.ndarray, installed):
-    """All capacity-valid partial assignments onto installed covering sites."""
     n = instance.num_dps
     traffic = instance.dp_traffic
     c_max = instance.C_max
-    hosts = [j for j in installed]
     choice = np.full(n, -1, dtype=np.int64)
     loads = np.zeros(instance.num_sites, dtype=np.float64)
 
+    def fits(i, j):
+        return a[i, j] and loads[j] + traffic[i] <= c_max + FEAS_TOL
+
     def rec(i):
         if i == n:
+            if maximal and any(
+                choice[i2] < 0 and fits(i2, j) for i2 in range(n) for j in hosts
+            ):
+                return
             yield choice.copy(), loads.copy()
             return
         yield from rec(i + 1)
         for j in hosts:
-            if a[i, j] and loads[j] + traffic[i] <= c_max + FEAS_TOL:
+            if fits(i, j):
                 choice[i] = j
                 loads[j] += traffic[i]
                 yield from rec(i + 1)
@@ -266,7 +242,7 @@ def enumerate_feasible(
 
 def _policy_candidates(instance: PlanningInstance, a, b):
     sites = instance.num_sites
-    for choice, loads in _assignments_policy(instance, a):
+    for choice, loads in _assignments(instance, a, range(sites), maximal=True):
         aps = tuple(sorted({int(j) for j in choice if j >= 0}))
         if not aps:
             yield _assemble(instance, choice, (), (), (), ())
@@ -298,7 +274,7 @@ def _raw_candidates(instance: PlanningInstance, a, b):
             for v in installed
         ):
             continue
-        for choice, _loads in _assignments_raw(instance, a, installed):
+        for choice, _loads in _assignments(instance, a, installed, maximal=False):
             for links in _edge_configs(installed, b, instance.R, instance.K):
                 for gcount in range(len(installed) + 1):
                     for gws in combinations(installed, gcount):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import FIXTURES
+from meshplan import cli
 from meshplan.cli import main
 from meshplan.instance import RadioParams, build_grid_instance, save_instance
 
@@ -205,6 +206,17 @@ def test_verify_guard_refuses_big_grid(tmp_path):
         "verify", "--grid", "7x7", "--dps", "10", *FAST, "--out", str(tmp_path),
     ])
     assert code == 3
+
+
+def test_verify_rejects_bad_flags_before_oracle(tmp_path, monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before flag validation")
+
+    monkeypatch.setattr(cli, "true_pareto_front", oracle)
+    code = main([
+        "verify", "--instance", TOY, "--swarm", "0", "--out", str(tmp_path),
+    ])
+    assert code == 1
 
 
 def test_invalid_radio_combo_exits_one(tmp_path):

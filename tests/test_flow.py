@@ -10,16 +10,8 @@ from conftest import (
     make_line_instance,
     make_square_instance,
 )
-from meshplan.construct import construct_feasible
-from meshplan.flow import (
-    RoutingInfeasibleError,
-    gateway_throughputs,
-    hop_distances,
-    route_flows,
-    traces_to_json,
-)
-from meshplan.kernels import UNREACHABLE
-from meshplan.model import Solution
+from meshplan.flow import RoutingInfeasibleError, route_flows, traces_to_json
+from meshplan.model import Solution, check_constraints, evaluate_link_balance
 
 
 def _line_solution(inst, gateway_site):
@@ -142,6 +134,27 @@ def test_capacity_fallback_takes_detour():
     assert_flow_conserved(routed, inst)
 
 
+@pytest.mark.parametrize("link", [(1, 0, 0), (3, 1, 1)])
+def test_reverse_capacity_override_takes_detour(link):
+    # the override names a link of the path 0-1-3 against its travel direction
+    inst = make_square_instance(capacity_overrides=((*link, 1.0),))
+    routed, traces = route_flows(_square_solution(inst, gateways=(3,)), inst)
+    assert traces[0].path == [0, 2, 3]
+    assert_flow_conserved(routed, inst)
+
+
+def test_reverse_capacity_override_in_check_and_link_balance():
+    inst = make_square_instance(capacity_overrides=((1, 0, 0, 3.0),))
+    routed, _ = route_flows(_square_solution(inst, gateways=(3,)), inst)
+    assert dense(routed)[1][0, 1, 0] == pytest.approx(2.0)
+    assert evaluate_link_balance(routed, inst) == pytest.approx(1.0)
+    with dense_links(routed) as (_, f):
+        f[0, 1, 0] = 4.0
+    c10 = next(c for c in check_constraints(routed, inst).checks if c.id == "C10")
+    assert c10.violations == [(0, 1, 0)]
+    assert evaluate_link_balance(routed, inst) == pytest.approx(-1.0)
+
+
 def test_saturated_cut_is_infeasible():
     inst = make_square_instance(
         capacity_overrides=tuple(
@@ -196,21 +209,6 @@ def test_shared_link_accumulates_flow():
     assert routed.F[2] == pytest.approx(4.0)
     assert len(traces) == 2
     assert_flow_conserved(routed, inst)
-
-
-def test_hop_distances_and_throughput_report(standard_instance, rng):
-    sol = construct_feasible(standard_instance, rng)
-    hops = hop_distances(sol)
-    assert hops.shape == (36, 36)
-    assert np.array_equal(np.diag(hops), np.zeros(36, dtype=hops.dtype))
-    installed = np.flatnonzero(sol.z)
-    sub = hops[np.ix_(installed, installed)]
-    assert (sub != UNREACHABLE).all()
-    report = gateway_throughputs(sol)
-    assert [site for site, _ in report] == sorted(
-        int(j) for j in np.flatnonzero(sol.gateway)
-    )
-    assert sum(t for _, t in report) == pytest.approx(float(sol.F.sum()))
 
 
 def test_traces_serialize_to_json():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import make_square_instance
 from meshplan.instance import (
     InstanceError,
     RadioParams,
@@ -14,6 +15,7 @@ from meshplan.instance import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
+    row_capacities,
     save_instance,
 )
 
@@ -21,10 +23,10 @@ from meshplan.instance import (
 def test_grid_geometry_row_major():
     inst = build_grid_instance(3, 4, n_dps=5, radio=RadioParams(), seed=0)
     assert inst.num_sites == 12
-    assert inst.site_position(0) == (0.0, 0.0)
-    assert inst.site_position(3) == (3.0, 0.0)
-    assert inst.site_position(4) == (0.0, 1.0)
-    assert inst.site_position(11) == (3.0, 2.0)
+    assert inst.sites[0].tolist() == [0.0, 0.0]
+    assert inst.sites[3].tolist() == [3.0, 0.0]
+    assert inst.sites[4].tolist() == [0.0, 1.0]
+    assert inst.sites[11].tolist() == [3.0, 2.0]
 
 
 def test_demand_points_inside_hull():
@@ -69,10 +71,23 @@ def test_matrices_deterministic_and_cached(standard_instance):
     a1 = coverage_matrix(standard_instance)
     a2 = coverage_matrix(standard_instance)
     assert a1 is a2
-    caps = standard_instance.link_capacities()
-    assert caps.shape == (36, 36, 11)
-    assert np.all(caps == 54.0)
-    assert caps.flags.writeable is False
+    # a generated grid has no overrides: every link has capacity C_max
+    assert standard_instance.link_capacities() == {}
+    links = np.array([[0, 1, 0], [7, 6, 10]])
+    assert row_capacities(standard_instance, links) == [54.0, 54.0]
+
+
+def test_link_capacities_hold_overrides_both_ways():
+    inst = make_square_instance(
+        capacity_overrides=((0, 1, 0, 10.0), (2, 3, 1, 5.0), (3, 2, 1, 7.0))
+    )
+    # a later override of the same link, in either direction, wins
+    assert inst.link_capacities() == {
+        (0, 1, 0): 10.0, (1, 0, 0): 10.0, (2, 3, 1): 7.0, (3, 2, 1): 7.0,
+    }
+    links = np.array([[1, 0, 0], [0, 1, 1], [2, 3, 1]])
+    assert row_capacities(inst, links) == [10.0, 54.0, 7.0]
+    assert row_capacities(inst, np.zeros((0, 3), dtype=np.int64)) == []
 
 
 def test_same_seed_reproduces_instance():

@@ -42,10 +42,19 @@ def _where(mask):
     return [tuple(row) for row in np.argwhere(mask).tolist()]
 
 
+def dense_capacities(instance):
+    """(s, s, K) capacities: C_max, with each override in both directions."""
+    s = instance.num_sites
+    caps = np.full((s, s, instance.K), instance.C_max)
+    for j, l, k, value in instance.capacity_overrides:
+        caps[j, l, k] = caps[l, j, k] = value
+    return caps
+
+
 def dense_reference(sol, L, f, instance, tol=FEAS_TOL):
     """C3-C7 and C10-C15 over dense L and f tensors, id -> violations."""
     b = connectivity_matrix(instance)
-    caps = instance.link_capacities()
+    caps = dense_capacities(instance)
     z, w, F = sol.z, sol.w, sol.F
     loads = sol.site_loads(instance)
     out_per_channel = L.sum(axis=1)

@@ -6,13 +6,11 @@ import pytest
 
 from conftest import assert_feasible, make_line_instance
 from meshplan import mopso
-from meshplan.construct import construct_feasible
+from meshplan.construct import ConstructionInfeasibleError, construct_feasible
 from meshplan.model import Solution, check_constraints, dominates, evaluate
 from meshplan.mopso import (
     MopsoConfig,
     ParetoArchive,
-    cheapest_solution,
-    crowding_distance,
     mutate_solution,
     run,
     stats_to_csv,
@@ -35,21 +33,26 @@ def _entry_sol(instance_like=4):
     return sol
 
 
+def _archive_of(points):
+    archive = ParetoArchive(capacity=10)
+    for i, vec in enumerate(points):
+        assert archive.update(_entry_sol(), np.array(vec), seq=i)
+    return archive
+
+
 def test_crowding_distance_square_corners():
-    values = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cd = crowding_distance(values)
+    cd = _archive_of([(0.0, 1.0), (1.0, 0.0)]).crowding_distances()
     assert np.all(np.isinf(cd))
 
 
 def test_crowding_distance_middle_point():
-    values = np.array([[0.0, 4.0], [1.0, 2.0], [4.0, 0.0]])
-    cd = crowding_distance(values)
+    cd = _archive_of([(0.0, 4.0), (1.0, 2.0), (4.0, 0.0)]).crowding_distances()
     assert cd[0] == np.inf and cd[2] == np.inf
     assert cd[1] == pytest.approx(1.0 + 1.0)
 
 
 def test_crowding_distance_empty():
-    assert crowding_distance(np.empty((0, 2))).shape == (0,)
+    assert ParetoArchive(capacity=4).crowding_distances().shape == (0,)
 
 
 def test_archive_rejects_duplicates_and_dominated():
@@ -92,23 +95,6 @@ def test_archive_sort_by_crowding_descending():
     assert all(cds[i] >= cds[i + 1] for i in range(len(cds) - 1))
 
 
-def test_cheapest_solution_lexicographic():
-    archive = ParetoArchive(capacity=10)
-    points = [(3.0, -9.0, 0.0), (2.0, -4.0, 0.0), (2.0, -6.0, 5.0)]
-    for i, vec in enumerate(points):
-        sol = _entry_sol()
-        sol.ap[0] = i
-        assert archive.update(sol, np.array(vec), seq=i)
-    best = cheapest_solution(archive)
-    # cost 2 beats cost 3; coverage 6 beats 4 at equal cost
-    assert best.ap[0] == 2
-
-
-def test_cheapest_solution_empty_archive():
-    with pytest.raises(ValueError):
-        cheapest_solution(ParetoArchive(capacity=4))
-
-
 def test_mutation_zero_rate_keeps_feasibility(standard_instance, rng):
     from meshplan.construct import construct_feasible
 
@@ -134,15 +120,30 @@ def test_mutation_full_rate_changes_plan(standard_instance, rng):
     assert not np.array_equal(out.ap, base.ap) or out is base
 
 
-def test_mutation_falls_back_past_backbone_failure():
+def test_mutation_falls_back_past_backbone_failure(monkeypatch):
     # every rebuild on two sites fails in connect_backbone
     inst = make_line_instance(2)
     base = Solution.empty(inst)
     base.ap[0] = 1
+    base.x[0, 0] = 1
+    fallback = Solution.empty(inst)
+    real_rebuild = mopso.rebuild_pipeline
+    failures = []
+
+    def rebuild(*args):
+        try:
+            return real_rebuild(*args)
+        except ConstructionInfeasibleError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(mopso, "rebuild_pipeline", rebuild)
     out = mutate_solution(
-        base, base, inst, np.random.default_rng(0), mut=0.0, retries=2
+        base, fallback, inst, np.random.default_rng(0), mut=0.0, retries=3
     )
-    assert out is base
+    assert out is fallback
+    assert len(failures) == 3
+    assert all("degree 2" in str(exc) for exc in failures)
 
 
 def test_mutation_unchanged_plan_returns_parent(standard_instance, rng, monkeypatch):
