@@ -36,36 +36,6 @@ from .model import (
 from .mopso import MopsoConfig, run, stats_to_csv
 from .oracle import GuardError, true_pareto_front, verify_archive
 
-DEFAULTS = {
-    "instance": None,
-    "grid": "6x6",
-    "dps": 200,
-    "traffic": 2.0,
-    "capacity": 54.0,
-    "radios": 3,
-    "channels": 11,
-    "hops": 3,
-    "model": "lglb",
-    "coverage_mode": "assigned",
-    "gateways": "auto",
-    "swarm": 50,
-    "gmax": 100,
-    "mut": 0.1,
-    "archive_cap": 100,
-    "seed": 0,
-    "reps": 1,
-    "out": "results",
-    "workers": 1,
-    "threshold": 0.8,
-    "random_matrices": None,
-    "dump_routes": False,
-    "recombine": False,
-    "axis": None,
-    "values": None,
-    "models": "cov,llb,glb,lglb",
-    "config": None,
-}
-
 METRIC_COLUMNS = (
     "aps",
     "relays",
@@ -86,89 +56,127 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+def _gateway_count(token: str) -> int | None:
+    """--gateways value: a count >= 1, or None for 'auto' (the demand budget)."""
+    if token.strip().lower() == "auto":
+        return None
+    try:
+        value = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad gateway count {token!r}, expected integer or 'auto'"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("gateway count must be >= 1")
+    return value
+
+
+def _add_command(subs, name: str, func, summary: str) -> _Parser:
+    sub = subs.add_parser(name, help=summary,
+                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    sub.set_defaults(func=func)
     sub.add_argument("--instance", help="instance JSON file (overrides --grid/--dps)")
-    sub.add_argument("--grid", help="grid size RxC (default 6x6)")
-    sub.add_argument("--dps", type=int, help="number of demand points (default 200)")
-    sub.add_argument("--traffic", type=float, help="per-DP demand (default 2)")
-    sub.add_argument("--capacity", type=float, help="link/site capacity (default 54)")
-    sub.add_argument("--radios", type=int, help="radios per node (default 3)")
-    sub.add_argument("--channels", type=int, help="available channels (default 11)")
-    sub.add_argument("--hops", type=int, help="gateway hop bound (default 3)")
-    sub.add_argument("--model", choices=sorted(VARIANTS), help="objective variant")
-    sub.add_argument("--coverage-mode", dest="coverage_mode",
-                     choices=("assigned", "literal"))
-    sub.add_argument("--gateways", help="gateway count, or 'auto' for the demand budget")
-    sub.add_argument("--swarm", type=int, help="particles (default 50)")
-    sub.add_argument("--gmax", type=int, help="generations including the initial one")
-    sub.add_argument("--mut", type=float, help="mutation probability (default 0.1)")
-    sub.add_argument("--archive-cap", dest="archive_cap", type=int,
-                     help="archive capacity (default 100)")
-    sub.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-    sub.add_argument("--out", help="output directory (default results)")
-    sub.add_argument("--workers", type=int, help="evaluation threads (default 1)")
-    sub.add_argument("--random-matrices", dest="random_matrices", type=float,
-                     nargs="?", const=0.5,
+    sub.add_argument("--grid", default="6x6", help="grid size RxC")
+    sub.add_argument("--dps", type=int, default=200, help="number of demand points")
+    sub.add_argument("--traffic", type=float, default=RadioParams.traffic,
+                     help="per-DP demand")
+    sub.add_argument("--capacity", type=float, default=RadioParams.capacity,
+                     help="link/site capacity")
+    sub.add_argument("--radios", type=int, default=RadioParams.radios,
+                     help="radios per node")
+    sub.add_argument("--channels", type=int, default=RadioParams.channels,
+                     help="available channels")
+    sub.add_argument("--hops", type=int, default=RadioParams.max_hops,
+                     help="gateway hop bound")
+    sub.add_argument("--model", choices=sorted(VARIANTS), default=MopsoConfig.variant,
+                     help="objective variant")
+    sub.add_argument("--coverage-mode", choices=("assigned", "literal"),
+                     default=MopsoConfig.coverage_mode, help="coverage objective")
+    sub.add_argument("--gateways", type=_gateway_count, default="auto",
+                     help="gateway count, or 'auto' for the demand budget")
+    sub.add_argument("--swarm", type=int, default=MopsoConfig.swarm_size,
+                     help="particles")
+    sub.add_argument("--gmax", type=int, default=MopsoConfig.gmax,
+                     help="generations including the initial one")
+    sub.add_argument("--mut", type=float, default=MopsoConfig.mut,
+                     help="mutation probability")
+    sub.add_argument("--archive-cap", type=int, default=MopsoConfig.archive_capacity,
+                     help="archive capacity")
+    sub.add_argument("--seed", type=int, default=MopsoConfig.seed, help="base RNG seed")
+    sub.add_argument("--out", default="results", help="output directory")
+    sub.add_argument("--workers", type=int, default=MopsoConfig.workers,
+                     help="evaluation threads")
+    sub.add_argument("--random-matrices", type=float, nargs="?", const=0.5,
                      help="replace geometry with seeded random coverage/connectivity"
-                          " matrices of the given density (default 0.5)")
-    sub.add_argument("--recombine", action="store_true", default=None,
+                          " matrices of the given density (%(const)s if none given)")
+    sub.add_argument("--recombine", action="store_true", default=MopsoConfig.recombine,
                      help="enable archive-guided recombination before mutation")
-    sub.add_argument("--config", help="JSON file of flag defaults; flags override")
+    sub.add_argument("--config", help="JSON object of flag values; explicit flags win")
+    return sub
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="meshplan", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices  # name -> subparser, read for --config keys
 
-    plan = subs.add_parser("plan", help="single optimization run")
-    _add_common_flags(plan)
-    plan.add_argument("--dump-routes", dest="dump_routes", action="store_true",
-                      default=None, help="also write per-demand routing traces")
-    plan.set_defaults(func=cmd_plan)
+    plan = _add_command(subs, "plan", cmd_plan, "single optimization run")
+    plan.add_argument("--dump-routes", action="store_true",
+                      help="also write per-demand routing traces")
 
-    sweep = subs.add_parser("sweep", help="parameter sweep, long-format CSV")
-    _add_common_flags(sweep)
+    sweep = _add_command(subs, "sweep", cmd_sweep, "parameter sweep, long-format CSV")
     sweep.add_argument("--axis", choices=("grid", "traffic", "radios"))
     sweep.add_argument("--values", help="comma-separated axis values")
-    sweep.add_argument("--reps", type=int, help="seeds per value (default 1)")
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.add_argument("--reps", type=int, default=1, help="seeds per value")
 
-    compare = subs.add_parser("compare", help="run several variants, paired")
-    _add_common_flags(compare)
-    compare.add_argument("--models", help="comma-separated variants (default all four)")
-    compare.add_argument("--reps", type=int, help="instances per variant (default 1)")
-    compare.set_defaults(func=cmd_compare)
+    compare = _add_command(subs, "compare", cmd_compare, "run several variants, paired")
+    compare.add_argument("--models", default=",".join(VARIANTS),
+                         help="comma-separated variants")
+    compare.add_argument("--reps", type=int, default=1, help="instances per variant")
 
-    verify = subs.add_parser("verify", help="grade archive against the oracle")
-    _add_common_flags(verify)
-    verify.add_argument("--threshold", type=float,
-                        help="required front coverage fraction (default 0.8)")
-    verify.set_defaults(func=cmd_verify)
-
+    verify = _add_command(subs, "verify", cmd_verify, "grade archive against the oracle")
+    verify.add_argument("--threshold", type=float, default=0.8,
+                        help="required front coverage fraction")
     return parser
 
 
-def _resolve(ns: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the --config file, then from built-in defaults."""
-    cfg = {}
-    if getattr(ns, "config", None):
-        try:
-            with open(ns.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise UsageError("config file must hold a JSON object")
-        unknown = sorted(set(cfg) - set(DEFAULTS))
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    for key, default in DEFAULTS.items():
-        if not hasattr(ns, key):
+def _config_flags(parser: _Parser, ns: argparse.Namespace) -> list[str]:
+    """The --config file's entries as flags of the chosen subcommand.
+
+    `true` gives the bare flag, `false` and `null` give nothing, and any
+    other value gives `--key=value`, parsed like the flag itself. A key that
+    only another subcommand takes is skipped; a `config` key is ignored.
+    """
+    command = parser.commands[ns.command]
+    try:
+        with open(ns.config) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        command.error(f"cannot read config file: {exc}")
+    if not isinstance(cfg, dict):
+        command.error("config file must hold a JSON object")
+    known = {key for sub in parser.commands.values() for key in vars(sub.parse_args([]))}
+    unknown = sorted(set(cfg) - (known - {"func"}))
+    if unknown:
+        command.error(f"unknown config keys: {', '.join(unknown)}")
+    flags = []
+    for key, value in cfg.items():
+        if key == "config" or key not in ns or value is None or value is False:
             continue
-        if getattr(ns, key) is None:
-            setattr(ns, key, cfg.get(key, default))
-    return ns
+        flag = "--" + key.replace("_", "-")
+        flags.append(flag if value is True else f"{flag}={value}")
+    return flags
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; with --config, parse again with the file's flags first."""
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is None:
+        return ns
+    at = argv.index(ns.command) + 1
+    return parser.parse_args([*argv[:at], *_config_flags(parser, ns), *argv[at:]])
 
 
 def _parse_grid(token: str) -> tuple[int, int]:
@@ -178,26 +186,14 @@ def _parse_grid(token: str) -> tuple[int, int]:
     return int(match.group(1)), int(match.group(2))
 
 
-def _parse_gateways(token) -> int | None:
-    if token is None or str(token).strip().lower() == "auto":
-        return None
-    try:
-        value = int(token)
-    except ValueError as exc:
-        raise UsageError(f"bad gateway count {token!r}, expected integer or 'auto'") from exc
-    if value < 1:
-        raise UsageError("gateway count must be >= 1")
-    return value
-
-
-def _build_instance(ns, seed, grid=None, traffic=None, radios=None):
+def _build_instance(ns, seed):
     if ns.instance:
         return load_instance(ns.instance)
-    rows, cols = _parse_grid(grid if grid is not None else ns.grid)
+    rows, cols = _parse_grid(ns.grid)
     radio = RadioParams(
-        traffic=traffic if traffic is not None else ns.traffic,
+        traffic=ns.traffic,
         capacity=ns.capacity,
-        radios=radios if radios is not None else ns.radios,
+        radios=ns.radios,
         channels=ns.channels,
         max_hops=ns.hops,
     )
@@ -216,11 +212,14 @@ def _build_config(ns, seed, variant=None) -> MopsoConfig:
         seed=seed,
         variant=variant if variant is not None else ns.model,
         coverage_mode=ns.coverage_mode,
-        gateway_count=_parse_gateways(ns.gateways),
+        gateway_count=ns.gateways,
         workers=ns.workers,
-        recombine=bool(ns.recombine),
+        recombine=ns.recombine,
     )
-    config.validate()
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return config
 
 
@@ -299,8 +298,34 @@ def cmd_plan(ns) -> int:
     return 0
 
 
-def _metric_cells(metrics: dict) -> list:
+def _metric_cells(instance, config) -> list[str]:
+    """Run the search once; the cheapest plan's metrics as CSV cells."""
+    result = run(instance, config)
+    metrics = solution_metrics(result.incumbent, instance)
     return [_fmt(metrics[key]) for key in METRIC_COLUMNS]
+
+
+def _write_table(ns, name: str, columns: str, rows: list) -> int:
+    """Write (sort key, cells) rows to <out>/<name>.csv in key order."""
+    path = Path(ns.out) / f"{name}.csv"
+    lines = [",".join([columns, *METRIC_COLUMNS])]
+    lines += [",".join(cells) for _, cells in sorted(rows, key=lambda r: r[0])]
+    _write(path, "\n".join(lines) + "\n")
+    print(f"{name}: {len(rows)} rows written to {path}")
+    return 0
+
+
+def _sweep_point(axis: str, token: str) -> tuple:
+    """A --values token as (sort key, CSV label, value of the --<axis> flag)."""
+    if axis == "grid":
+        return _parse_grid(token), token, token
+    try:
+        value = (float if axis == "traffic" else int)(token)
+    except ValueError:
+        raise UsageError(f"bad {axis} value {token!r}") from None
+    if not value > 0:  # NaN fails too
+        raise UsageError(f"{axis} values must be positive")
+    return value, _fmt(value), value
 
 
 def cmd_sweep(ns) -> int:
@@ -313,50 +338,23 @@ def cmd_sweep(ns) -> int:
         raise UsageError("sweep requires a non-empty --values list")
     if ns.reps < 1:
         raise UsageError("--reps must be >= 1")
-    parsed = []
-    for token in tokens:
-        if ns.axis == "grid":
-            parsed.append((_parse_grid(token), token))
-        elif ns.axis == "traffic":
-            value = float(token)
-            if value <= 0:
-                raise UsageError("traffic values must be positive")
-            parsed.append((value, _fmt(value)))
-        else:
-            value = int(token)
-            if value < 1:
-                raise UsageError("radio counts must be >= 1")
-            parsed.append((value, str(value)))
+    points = [_sweep_point(ns.axis, token) for token in tokens]
     rows = []
-    for key, label in parsed:
+    for key, label, value in points:
+        point = argparse.Namespace(**{**vars(ns), ns.axis: value})
         for rep in range(ns.reps):
             seed = ns.seed + rep
-            if ns.axis == "grid":
-                instance = _build_instance(ns, seed, grid=label)
-            elif ns.axis == "traffic":
-                instance = _build_instance(ns, seed, traffic=key)
-            else:
-                instance = _build_instance(ns, seed, radios=key)
-            result = run(instance, _build_config(ns, seed))
-            metrics = solution_metrics(result.incumbent, instance)
-            rows.append(((key, seed), [ns.axis, label, str(seed)]
-                         + _metric_cells(metrics)))
-    rows.sort(key=lambda r: r[0])
-    header = "axis,value,seed," + ",".join(METRIC_COLUMNS)
-    body = "\n".join(",".join(cells) for _, cells in rows)
-    out = Path(ns.out)
-    _write(out / "sweep.csv", header + "\n" + body + "\n")
-    print(f"sweep: {len(rows)} rows written to {out / 'sweep.csv'}")
-    return 0
+            cells = _metric_cells(_build_instance(point, seed), _build_config(ns, seed))
+            rows.append(((key, seed), [ns.axis, label, str(seed), *cells]))
+    return _write_table(ns, "sweep", "axis,value,seed", rows)
 
 
 def cmd_compare(ns) -> int:
-    tokens = [t.strip() for t in (ns.models or "").split(",") if t.strip()]
-    variants = []
-    for token in tokens:
-        variant = parse_variant(token)
-        if variant not in variants:
-            variants.append(variant)
+    try:
+        named = [parse_variant(t) for t in ns.models.split(",") if t.strip()]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    variants = list(dict.fromkeys(named))  # first mention order, no repeats
     if len(variants) < 2:
         raise UsageError("compare needs at least two distinct --models")
     if ns.reps < 1:
@@ -370,23 +368,17 @@ def cmd_compare(ns) -> int:
         seed = ns.seed + rep
         instance = _build_instance(ns, seed)
         for variant in variants:
-            result = run(instance, _build_config(ns, seed, variant=variant))
-            metrics = solution_metrics(result.incumbent, instance)
-            rows.append(((seed, variant), [variant, grid_label, str(seed)]
-                         + _metric_cells(metrics)))
-    rows.sort(key=lambda r: r[0])
-    header = "variant,grid,seed," + ",".join(METRIC_COLUMNS)
-    body = "\n".join(",".join(cells) for _, cells in rows)
-    out = Path(ns.out)
-    _write(out / "compare.csv", header + "\n" + body + "\n")
-    print(f"compare: {len(rows)} rows written to {out / 'compare.csv'}")
-    return 0
+            cells = _metric_cells(instance, _build_config(ns, seed, variant=variant))
+            rows.append(((seed, variant), [variant, grid_label, str(seed), *cells]))
+    return _write_table(ns, "compare", "variant,grid,seed", rows)
 
 
 def cmd_verify(ns) -> int:
     instance = _build_instance(ns, ns.seed)
     config = _build_config(ns, ns.seed)  # reject bad flags before the oracle runs
-    truth = true_pareto_front(instance, variant=ns.model)
+    truth = true_pareto_front(
+        instance, variant=config.variant, coverage_mode=config.coverage_mode
+    )
     result = run(instance, config)
     report = verify_archive(result.archive, truth)
     print(f"true front size: {len(truth)}")
@@ -405,15 +397,14 @@ def cmd_verify(ns) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        ns = _resolve(ns)
         return ns.func(ns)
-    except UsageError as exc:
+    except (UsageError, InstanceError) as exc:
         print(f"meshplan: error: {exc}", file=sys.stderr)
         return 1
     except GuardError as exc:
@@ -422,9 +413,6 @@ def main(argv=None) -> int:
     except (ConstructionInfeasibleError, RoutingInfeasibleError) as exc:
         print(f"meshplan: infeasible: {exc}", file=sys.stderr)
         return 2
-    except (InstanceError, ValueError) as exc:
-        print(f"meshplan: error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

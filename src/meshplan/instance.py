@@ -27,9 +27,9 @@ class RadioParams:
     max_hops: int = 3
 
     def validate(self) -> None:
-        if self.traffic <= 0:
+        if not self.traffic > 0:  # `not x > 0` rejects NaN too
             raise InstanceError("traffic must be positive")
-        if self.capacity <= 0:
+        if not self.capacity > 0:
             raise InstanceError("capacity must be positive")
         if self.radios < 1:
             raise InstanceError("radios must be >= 1")
@@ -69,27 +69,28 @@ class PlanningInstance:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        # positivity is tested as `not x > 0` so that NaN fails too
         if self.rows < 1 or self.cols < 1:
             raise InstanceError("grid must have at least one site")
-        if self.spacing <= 0:
+        if not self.spacing > 0:
             raise InstanceError("spacing must be positive")
-        if self.coverage_radius <= 0 or self.backbone_range <= 0:
+        if not (self.coverage_radius > 0 and self.backbone_range > 0):
             raise InstanceError("radii must be positive")
         if self.R < 1:
             raise InstanceError("radios must be >= 1")
         if self.K < self.R:
             raise InstanceError(f"channels ({self.K}) must be >= radios ({self.R})")
-        if self.C_max <= 0:
+        if not self.C_max > 0:
             raise InstanceError("capacity must be positive")
         if self.A < 1:
             raise InstanceError("hop bound must be >= 1")
-        if self.M <= 0:
+        if not self.M > 0:
             raise InstanceError("gateway big-M must be positive")
         if self.sites.shape != (self.rows * self.cols, 2):
             raise InstanceError("sites array does not match grid shape")
         if self.dp_positions.shape != (len(self.dp_traffic), 2):
             raise InstanceError("demand point arrays disagree on count")
-        if np.any(self.dp_traffic <= 0):
+        if not np.all(self.dp_traffic > 0):
             raise InstanceError("demand traffic must be positive")
         if self.random_matrix_density is not None and not (
             0.0 < self.random_matrix_density <= 1.0
@@ -100,7 +101,7 @@ class PlanningInstance:
                 raise InstanceError(f"capacity override site out of range: ({j},{l})")
             if not 0 <= k < self.K:
                 raise InstanceError(f"capacity override channel out of range: {k}")
-            if cap <= 0:
+            if not cap > 0:
                 raise InstanceError("link capacity must be positive")
         self.sites.setflags(write=False)
         self.dp_positions.setflags(write=False)
@@ -156,6 +157,8 @@ def build_grid_instance(
         raise InstanceError("grid generation needs rows >= 2 and cols >= 2")
     if n_dps < 1:
         raise InstanceError("need at least one demand point")
+    if seed < 0:
+        raise InstanceError("seed must be >= 0")
     radio.validate()
     rng = np.random.default_rng(seed)
     sites = np.array(
@@ -302,25 +305,22 @@ def instance_from_dict(data: dict) -> PlanningInstance:
     missing = [key for key in required if key not in data]
     if missing:
         raise InstanceError(f"instance file missing fields: {', '.join(missing)}")
-    sites = np.array(data["sites"], dtype=np.float64)
-    if sites.ndim != 2 or sites.shape[1] != 2:
-        raise InstanceError("sites must be a list of [x, y] pairs")
-    dps = data["demand_points"]
     try:
+        sites = np.array(data["sites"], dtype=np.float64)
+        if sites.ndim != 2 or sites.shape[1] != 2:
+            raise InstanceError("sites must be a list of [x, y] pairs")
+        dps = data["demand_points"]
         dp_positions = np.array([[p["x"], p["y"]] for p in dps], dtype=np.float64)
         dp_traffic = np.array([p["traffic"] for p in dps], dtype=np.float64)
-    except (TypeError, KeyError) as exc:
-        raise InstanceError(f"malformed demand point entry: {exc}") from exc
-    if len(dps) == 0:
-        dp_positions = dp_positions.reshape(0, 2)
-    overrides = tuple(
-        (int(e["j"]), int(e["l"]), int(e["k"]), float(e["capacity"]))
-        for e in data.get("link_capacities", ())
-    )
-    density = None
-    if "random_matrices" in data:
-        density = float(data["random_matrices"]["density"])
-    try:
+        if len(dps) == 0:
+            dp_positions = dp_positions.reshape(0, 2)
+        overrides = tuple(
+            (int(e["j"]), int(e["l"]), int(e["k"]), float(e["capacity"]))
+            for e in data.get("link_capacities", ())
+        )
+        density = None
+        if "random_matrices" in data:
+            density = float(data["random_matrices"]["density"])
         return PlanningInstance(
             rows=int(data["rows"]),
             cols=int(data["cols"]),
@@ -339,18 +339,20 @@ def instance_from_dict(data: dict) -> PlanningInstance:
             capacity_overrides=overrides,
             random_matrix_density=density,
         )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InstanceError):
-            raise
+    except InstanceError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"invalid instance field: {exc}") from exc
 
 
 def load_instance(path) -> PlanningInstance:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"instance file is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise InstanceError(f"cannot read instance file: {exc}") from exc
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise InstanceError(f"instance file is not valid JSON: {exc}") from exc
     return instance_from_dict(data)
 
 

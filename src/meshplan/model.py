@@ -7,7 +7,6 @@ so the two can disagree only through a bug in one of them.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -440,18 +439,3 @@ def solution_from_dict(data: dict) -> Solution:
     if np.any(sol.gateway > sol.z):
         raise SolutionFormatError("gateway flag on a site that is not installed")
     return sol
-
-
-def save_solution(solution: Solution, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(solution_to_dict(solution), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_solution(path) -> Solution:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SolutionFormatError(f"solution file is not valid JSON: {exc}") from exc
-    return solution_from_dict(data)

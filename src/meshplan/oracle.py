@@ -13,7 +13,6 @@ points, or 3 channels.
 
 from __future__ import annotations
 
-import json
 from itertools import combinations, product
 
 import numpy as np
@@ -38,8 +37,6 @@ from .model import (
 GUARD_SITES = 6
 GUARD_DPS = 8
 GUARD_CHANNELS = 3
-
-FRONT_FORMAT_VERSION = 1
 
 
 class GuardError(Exception):
@@ -339,27 +336,3 @@ def verify_archive(archive, truth) -> dict:
         "front_coverage_fraction": coverage,
         "violations": violations,
     }
-
-
-def front_to_dict(instance: PlanningInstance, variant: str, front: list) -> dict:
-    return {
-        "version": FRONT_FORMAT_VERSION,
-        "instance_hash": instance.content_hash(),
-        "variant": parse_variant(variant),
-        "front": [list(v) for v in front],
-    }
-
-
-def save_front(instance: PlanningInstance, variant: str, front: list, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(front_to_dict(instance, variant, front), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_front(path) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("version") != FRONT_FORMAT_VERSION:
-        raise ValueError(f"unsupported front format version: {data.get('version')!r}")
-    data["front"] = [tuple(v) for v in data["front"]]
-    return data

@@ -1,9 +1,11 @@
-"""The program names the benchmark under perfbench/ reads or patches.
+"""The program names the benchmark under perfbench/ reads or patches, and
+the command lines it sends.
 
 `perfbench/run.py` and `perfbench/tracer.py` reach into meshplan's modules
-by name after importing `meshplan.cli`. Deleting or renaming one of those
-names breaks the benchmark without breaking any other test, so these tests
-pin them.
+by name after importing `meshplan.cli`, and `run.py` passes fixed argv lists
+to `meshplan.cli.main`. Deleting or renaming one of those names, or a flag
+that stops parsing, breaks the benchmark without breaking any other test,
+so these tests pin them.
 """
 
 import importlib.util
@@ -26,17 +28,19 @@ def _resolve(dotted: str):
     return owner
 
 
-def _tracer_bindings():
+def _load(name: str, monkeypatch):
+    """Execute perfbench/<name>.py as a fresh module, registered for the test."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", PERFBENCH / "tracer.py"
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
-    return module.BINDINGS
+    return module
 
 
-def test_tracer_bindings_resolve():
-    bindings = _tracer_bindings()
+def test_tracer_bindings_resolve(monkeypatch):
+    bindings = _load("tracer", monkeypatch).BINDINGS
     assert bindings
     missing = [
         f"{module}:{attr}" for _, module, attr, _ in bindings
@@ -59,3 +63,18 @@ def test_numba_flag_exists():
 
 def test_link_capacities_takes_no_arguments(standard_instance):
     assert standard_instance.link_capacities() == {}
+
+
+def test_benchmark_argv_parses(monkeypatch, tmp_path):
+    # run.py imports its sibling as `tracer`
+    monkeypatch.setitem(sys.modules, "tracer", _load("tracer", monkeypatch))
+    bench = _load("run", monkeypatch)
+    parser = meshplan.cli.build_parser()
+    sent = set()
+    for wl in bench.WORKLOADS.values():
+        for case in wl.cases:
+            argv = bench.argv_for(wl, case, tmp_path)
+            ns = parser.parse_args(argv)
+            assert (ns.command, ns.seed, ns.workers) == (wl.command, case, 1)
+            sent.update(argv)
+    assert {"--workers", "--gateways", "--model"} <= sent

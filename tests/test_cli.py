@@ -269,6 +269,78 @@ def test_config_unknown_key_exits_one(tmp_path):
     assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
+def test_config_matches_flags_byte_for_byte(tmp_path):
+    # integer JSON values go through the flags' own types: C_max is a float
+    # either way, so the instance hash and every artifact byte agree
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "grid": "4x4", "dps": 40, "capacity": 54, "traffic": 2,
+        "swarm": 6, "gmax": 5, "seed": 3,
+    }))
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    assert main(["plan", "--config", str(cfg), "--out", str(out_a)]) == 0
+    assert main(["plan", "--grid", "4x4", "--dps", "40", "--capacity", "54",
+                 "--traffic", "2", *FAST, "--out", str(out_b)]) == 0
+    for name in ("archive.json", "stats.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_config_switches_nulls_and_other_commands_keys(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "grid": "4x4", "dps": 40, "swarm": 6, "gmax": 5,
+        "dump_routes": True, "recombine": False, "random_matrices": None,
+        "threshold": 0.9, "models": "cov,glb", "config": "ignored.json",
+    }))
+    out = tmp_path / "run"
+    assert main(["plan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "routes.json").exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"swarm": 6.5}, {"recombine": "no"}, {"model": "nope"}, {"dps": True}],
+    ids=["float-for-int", "word-for-switch", "bad-choice", "switch-for-value"],
+)
+def test_config_values_parse_like_flags(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    code = main(["plan", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_verify_grades_with_its_coverage_mode(tmp_path, capsys):
+    code = main([
+        "verify", "--instance", TOY, "--seed", "0", "--coverage-mode", "literal",
+        "--out", str(tmp_path),
+    ])
+    printed = capsys.readouterr().out
+    assert code == 0, printed
+    assert "verdict: pass" in printed
+
+
+@pytest.mark.parametrize("command", ["plan", "verify"])
+def test_missing_instance_file_exits_one(tmp_path, capsys, command):
+    code = main([command, "--instance", str(tmp_path / "no_such.json"),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "cannot read instance file" in capsys.readouterr().err
+
+
+def test_main_lets_unexpected_value_errors_through(tmp_path, monkeypatch):
+    # a ValueError from inside the program is a bug, not a usage error: it
+    # must surface with its traceback instead of exiting 1
+    def broken(instance, config):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "run", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["plan", "--grid", "4x4", "--dps", "30", *FAST, "--out", str(tmp_path)])
+
+
 def test_random_matrices_smoke(tmp_path):
     out = tmp_path / "run"
     code = main([

@@ -124,6 +124,35 @@ def test_from_dict_rejects_unknown_version(standard_instance):
         instance_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("sites", [[0.0, "a"], [1.0]]),
+        ("demand_points", [{"x": 0.0}]),
+        ("link_capacities", [{"l": 0, "k": 0, "capacity": 1.0}]),
+        ("link_capacities", [{"j": "a", "l": 0, "k": 0, "capacity": 1.0}]),
+        ("random_matrices", {"density": "dense"}),
+        ("random_matrices", 5),
+        ("C_max", "NaN"),
+        ("coverage_radius", "NaN"),
+        ("M", "NaN"),
+    ],
+)
+def test_from_dict_rejects_malformed_fields(standard_instance, field, value):
+    data = instance_to_dict(standard_instance)
+    data[field] = value
+    with pytest.raises(InstanceError):
+        instance_from_dict(data)
+
+
+def test_load_instance_rejects_unreadable_files(tmp_path):
+    garbled = tmp_path / "garbled.json"
+    garbled.write_bytes(b"\xff\xfe not json")
+    for path in (tmp_path / "missing.json", tmp_path, garbled):
+        with pytest.raises(InstanceError):
+            load_instance(path)
+
+
 def test_random_matrix_override_is_seeded():
     inst = build_grid_instance(
         3, 3, n_dps=10, radio=RadioParams(), seed=4, random_matrix_density=0.5
@@ -145,6 +174,8 @@ def test_random_matrix_override_is_seeded():
         dict(radios=0),
         dict(channels=2, radios=3),
         dict(max_hops=0),
+        dict(traffic=float("nan")),
+        dict(capacity=float("nan")),
     ],
 )
 def test_radio_params_validation(kwargs):
@@ -157,6 +188,11 @@ def test_build_rejects_degenerate_shapes():
         build_grid_instance(1, 5, n_dps=3, radio=RadioParams(), seed=0)
     with pytest.raises(InstanceError):
         build_grid_instance(3, 3, n_dps=0, radio=RadioParams(), seed=0)
+
+
+def test_build_rejects_negative_seed():
+    with pytest.raises(InstanceError):
+        build_grid_instance(3, 3, n_dps=3, radio=RadioParams(), seed=-1)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,9 +18,7 @@ from meshplan.model import (
     evaluate_coverage,
     evaluate_gateway_balance,
     evaluate_link_balance,
-    load_solution,
     parse_variant,
-    save_solution,
     solution_from_dict,
     solution_metrics,
     solution_to_dict,
@@ -347,10 +346,8 @@ def test_metrics_dict_keys(feasible, standard_instance):
     assert metrics["total"] == metrics["aps"] + metrics["relays"] + metrics["gateways"]
 
 
-def test_solution_round_trip(tmp_path, feasible, standard_instance):
-    path = tmp_path / "sol.json"
-    save_solution(feasible, path)
-    loaded = load_solution(path)
+def test_solution_round_trip(feasible, standard_instance):
+    loaded = solution_from_dict(json.loads(json.dumps(solution_to_dict(feasible))))
     for name in ("ap", "relay", "gateway", "x", "w", "links", "L"):
         assert np.array_equal(getattr(loaded, name), getattr(feasible, name))
     assert np.allclose(loaded.f, feasible.f)

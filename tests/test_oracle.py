@@ -10,8 +10,6 @@ from meshplan.oracle import (
     EnumerationLimitError,
     GuardError,
     enumerate_feasible,
-    load_front,
-    save_front,
     true_pareto_front,
     verify_archive,
 )
@@ -51,24 +49,11 @@ def test_toy_front_per_variant(toy_instance):
 
 
 def test_committed_front_still_true(toy_instance):
-    stored = load_front(FIXTURES / "toy2x2_front.json")
+    stored = json.loads((FIXTURES / "toy2x2_front.json").read_text())
     assert stored["instance_hash"] == toy_instance.content_hash()
     assert stored["variant"] == "lglb"
     live = true_pareto_front(toy_instance)
     assert [tuple(v) for v in stored["front"]] == live
-
-
-def test_front_save_load_round_trip(tmp_path, toy_instance):
-    front = true_pareto_front(toy_instance)
-    path = tmp_path / "front.json"
-    save_front(toy_instance, "lglb", front, path)
-    loaded = load_front(path)
-    assert loaded["front"] == front
-    data = json.loads(path.read_text())
-    data["version"] = 99
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError):
-        load_front(path)
 
 
 def test_policy_enumeration_counts(one_dp_instance):
