@@ -104,8 +104,8 @@ def _add_command(subs, name: str, func, summary: str) -> _Parser:
                      help="archive capacity")
     sub.add_argument("--seed", type=int, default=MopsoConfig.seed, help="base RNG seed")
     sub.add_argument("--out", default="results", help="output directory")
-    sub.add_argument("--workers", type=int, default=MopsoConfig.workers,
-                     help="evaluation threads")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="no effect; accepted so older command lines still parse")
     sub.add_argument("--random-matrices", type=float, nargs="?", const=0.5,
                      help="replace geometry with seeded random coverage/connectivity"
                           " matrices of the given density (%(const)s if none given)")
@@ -213,7 +213,6 @@ def _build_config(ns, seed, variant=None) -> MopsoConfig:
         variant=variant if variant is not None else ns.model,
         coverage_mode=ns.coverage_mode,
         gateway_count=ns.gateways,
-        workers=ns.workers,
         recombine=ns.recombine,
     )
     try:
@@ -224,8 +223,6 @@ def _build_config(ns, seed, variant=None) -> MopsoConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     return f"{value:.10g}"
@@ -264,7 +261,7 @@ def _cheapest_json(result, instance) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _summary_text(result, instance, ns) -> str:
+def _summary_text(result, instance) -> str:
     metrics = solution_metrics(result.incumbent, instance)
     lines = [
         f"instance: {instance.rows}x{instance.cols} grid, "
@@ -286,7 +283,7 @@ def cmd_plan(ns) -> int:
     _write(out / "archive.json", _archive_json(result, instance))
     _write(out / "stats.csv", stats_to_csv(result.stats))
     _write(out / "cheapest.json", _cheapest_json(result, instance))
-    _write(out / "summary.txt", _summary_text(result, instance, ns))
+    _write(out / "summary.txt", _summary_text(result, instance))
     if ns.dump_routes:
         _, traces = route_flows(result.incumbent, instance)
         _write(out / "routes.json", traces_to_json(traces) + "\n")
@@ -380,7 +377,7 @@ def cmd_verify(ns) -> int:
         instance, variant=config.variant, coverage_mode=config.coverage_mode
     )
     result = run(instance, config)
-    report = verify_archive(result.archive, truth)
+    report = verify_archive(result.archive.objectives_matrix(), truth)
     print(f"true front size: {len(truth)}")
     print(f"archive size: {len(result.archive)}")
     print(f"on_front_fraction: {_fmt(report['on_front_fraction'])}")

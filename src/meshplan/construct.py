@@ -299,9 +299,23 @@ def construct_feasible(
     max_retries: int = 500,
     gateway_count: int | None = None,
 ) -> Solution:
-    """Build a solution passing every constraint, retrying with fresh draws."""
+    """Build a solution passing every constraint, retrying with fresh draws.
+
+    An instance where no demand point is both covered by a site and within
+    the site capacity is refused before any attempt: on an empty plan
+    `place_access_points` would install nothing, so every attempt would
+    fail at gateway selection.
+    """
     if max_retries < 1:
         raise ValueError("max_retries must be >= 1")
+    covered = coverage_matrix(instance).any(axis=1)
+    fits = instance.dp_traffic <= instance.C_max + FEAS_TOL
+    if not (covered & fits).any():
+        raise ConstructionInfeasibleError(
+            "no demand point is both covered by a site and within the site "
+            f"capacity {instance.C_max:g} ({int(covered.sum())} of "
+            f"{instance.num_dps} covered, {int(fits.sum())} within capacity)"
+        )
     last = "no attempt made"
     for _ in range(max_retries):
         partial = Solution.empty(instance)

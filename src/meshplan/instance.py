@@ -201,8 +201,6 @@ def coverage_matrix(instance: PlanningInstance) -> np.ndarray:
             rng.random((instance.num_dps, instance.num_sites))
             < instance.random_matrix_density
         ).astype(np.uint8)
-    elif instance.num_dps == 0:
-        a = np.zeros((0, instance.num_sites), dtype=np.uint8)
     else:
         d = np.hypot(
             instance.dp_positions[:, None, 0] - instance.sites[None, :, 0],

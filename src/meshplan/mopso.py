@@ -10,7 +10,6 @@ particle with an archive leader's AP set) is available behind a flag.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,6 @@ class MopsoConfig:
     variant: str = "lglb"
     coverage_mode: str = "assigned"
     gateway_count: int | None = None
-    workers: int = 1
     recombine: bool = False
 
     def validate(self) -> None:
@@ -72,8 +70,6 @@ class MopsoConfig:
             raise ValueError(f"unknown coverage mode: {self.coverage_mode!r}")
         if self.gateway_count is not None and self.gateway_count < 1:
             raise ValueError("gateway count must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         parse_variant(self.variant)
 
 
@@ -259,66 +255,48 @@ def stats_to_csv(stats: list[dict]) -> str:
 def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
     """Full search: seeded construction, then gmax-1 mutation generations.
 
-    Deterministic for a given (instance, config): every particle draws from
-    its own per-generation stream, so results do not depend on worker count.
+    Deterministic for a given (instance, config): particle i of generation g
+    draws only from its own stream (seed, g, i). A step reads only its own
+    particle and leaders fixed before the generation, and each candidate is
+    offered to the archive as soon as it is evaluated, in particle order.
     """
     config.validate()
     names = VARIANTS[parse_variant(config.variant)]
     archive = ParetoArchive(config.archive_capacity)
     particles: list[Solution] = []
+    leaders: list[Solution] = []
     stats: list[dict] = []
     seq = 0
     incumbent: Solution | None = None
     incumbent_vec: np.ndarray | None = None
     incumbent_key = None
 
-    def admit(solution: Solution, vec: np.ndarray) -> None:
-        nonlocal seq, incumbent, incumbent_vec, incumbent_key
-        archive.update(solution, vec, seq)
-        key = (float(vec[0]), float(vec[1]))
-        if incumbent_key is None or key < incumbent_key:
-            incumbent, incumbent_vec, incumbent_key = solution, vec, key
-        seq += 1
-
-    for i in range(config.swarm_size):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, i]))
-        sol = construct_feasible(instance, rng, gateway_count=config.gateway_count)
-        vec = evaluate(sol, instance, config.variant, config.coverage_mode)
-        particles.append(sol)
-        admit(sol, vec)
-    stats.append(_generation_stats(1, archive, names))
-
-    for g in range(2, config.gmax + 1):
-        archive.sort_by_crowding()
-        leaders = (
-            [e.solution for e in archive.entries[:LEADER_POOL]]
-            if config.recombine
-            else None
-        )
-
-        def step(i: int, g: int = g) -> tuple[Solution, np.ndarray]:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, g, i])
-            )
-            base = particles[i]
-            if leaders:
-                base = _recombine(base, leaders, instance, rng)
-            mutated = mutate_solution(
-                base, particles[i], instance, rng, config.mut, config.gateway_count
-            )
-            return mutated, evaluate(
-                mutated, instance, config.variant, config.coverage_mode
-            )
-
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(step, range(config.swarm_size)))
-        else:
-            results = [step(i) for i in range(config.swarm_size)]
-
-        for i, (mutated, vec) in enumerate(results):
-            particles[i] = mutated
-            admit(mutated, vec)
+    for g in range(1, config.gmax + 1):
+        if g > 1:
+            archive.sort_by_crowding()
+            if config.recombine:
+                leaders = [e.solution for e in archive.entries[:LEADER_POOL]]
+        for i in range(config.swarm_size):
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed, g, i]))
+            if g == 1:
+                sol = construct_feasible(
+                    instance, rng, gateway_count=config.gateway_count
+                )
+                particles.append(sol)
+            else:
+                base = particles[i]
+                if leaders:
+                    base = _recombine(base, leaders, instance, rng)
+                sol = mutate_solution(
+                    base, particles[i], instance, rng, config.mut, config.gateway_count
+                )
+                particles[i] = sol
+            vec = evaluate(sol, instance, config.variant, config.coverage_mode)
+            archive.update(sol, vec, seq)
+            seq += 1
+            key = (float(vec[0]), float(vec[1]))
+            if incumbent_key is None or key < incumbent_key:
+                incumbent, incumbent_vec, incumbent_key = sol, vec, key
         stats.append(_generation_stats(g, archive, names))
 
     return MopsoResult(

@@ -301,21 +301,14 @@ def true_pareto_front(
     return [ordered[i] for i in range(len(ordered)) if mask[i]]
 
 
-def _vector_rows(archive) -> list:
-    entries = getattr(archive, "entries", None)
-    if entries is not None:
-        return [tuple(float(x) for x in e.objectives) for e in entries]
-    return [tuple(float(x) for x in row) for row in archive]
-
-
 def verify_archive(archive, truth) -> dict:
-    """Grade an archive against the true front.
+    """Grade an archive's objective rows against the true front.
 
     on_front_fraction: archive points not dominated by any truth point.
     front_coverage_fraction: truth points matched exactly by the archive.
     violations: the dominated archive points.
     """
-    arch = _vector_rows(archive)
+    arch = [tuple(float(x) for x in row) for row in archive]
     tru = [tuple(float(x) for x in row) for row in truth]
     dims = {len(v) for v in arch} | {len(v) for v in tru}
     if len(dims) > 1:

@@ -13,6 +13,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import meshplan.cli  # noqa: F401  the benchmark's one import; loads the rest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -78,3 +80,28 @@ def test_benchmark_argv_parses(monkeypatch, tmp_path):
             assert (ns.command, ns.seed, ns.workers) == (wl.command, case, 1)
             sent.update(argv)
     assert {"--workers", "--gateways", "--model"} <= sent
+
+
+@pytest.mark.parametrize("name", ["ref6x6", "verify2x3"])
+def test_tracer_selftest_passes(name, monkeypatch, tmp_path):
+    # A refactor that moves a call out of the module whose binding the
+    # tracer patches leaves that binding uncalled; the self-test names it.
+    tracer = _load("tracer", monkeypatch)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    bench = _load("run", monkeypatch)
+    wl = bench.WORKLOADS[name]
+    case = wl.cases[0]
+    argv = bench.argv_for(wl, case, tmp_path / "out")
+    if wl.command == "verify":
+        path = tmp_path / "instance.json"
+        meshplan.instance.save_instance(
+            bench.build_instance(sys.modules["meshplan"], wl, case), path
+        )
+        argv[argv.index("--instance") + 1] = str(path)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        assert meshplan.cli.main(argv) == 0
+    finally:
+        spans.uninstall()
+    assert spans.selftest_failures(name) == []

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import FIXTURES
-from meshplan import cli
+from meshplan import cli, construct
 from meshplan.cli import main
 from meshplan.instance import RadioParams, build_grid_instance, save_instance
 
@@ -64,7 +64,8 @@ def test_plan_dump_routes(tmp_path):
 #: sha256 of fixed `plan` runs' artifacts. Any change to these bytes changes
 #: what users get for a fixed seed and must be deliberate. The 4x4 run takes
 #: 30 generations of mutation, about a third of whose attempts leave the
-#: parent plan unchanged.
+#: parent plan unchanged. The `--recombine` run is the one that crosses
+#: particles with archive leaders.
 GOLDEN_PLANS = [
     (
         ["plan", "--grid", "6x6", "--dps", "200", "--swarm", "20", "--gmax", "5",
@@ -81,6 +82,14 @@ GOLDEN_PLANS = [
         {
             "archive.json": "8c478d966e17d6b63d1a818b6421404157b1565b35632a2050ba2248b03f1aa0",
             "stats.csv": "bf5b22c0fd541221574481f513f37d62f9d03c847c095b3172d3c5978f937844",
+        },
+    ),
+    (
+        ["plan", "--grid", "6x6", "--dps", "200", "--swarm", "20", "--gmax", "10",
+         "--recombine", "--seed", "0"],
+        {
+            "archive.json": "9fb28466a806de850689e856dc0d4cd5ffdd441c99e730467c62d698a7dffdcf",
+            "stats.csv": "f71cb7e2a58125d7271332d37db0da7de75d26df0a03abc2042cb7f09502dc32",
         },
     ),
 ]
@@ -217,6 +226,22 @@ def test_verify_rejects_bad_flags_before_oracle(tmp_path, monkeypatch):
         "verify", "--instance", TOY, "--swarm", "0", "--out", str(tmp_path),
     ])
     assert code == 1
+
+
+def test_hopeless_instance_refused_before_any_attempt(tmp_path, capsys, monkeypatch):
+    # traffic 2 exceeds capacity 1 at every demand point: no plan can exist
+    def rebuild(*args, **kwargs):
+        raise AssertionError("a construction attempt ran")
+
+    monkeypatch.setattr(construct, "rebuild_pipeline", rebuild)
+    code = main([
+        "plan", "--grid", "4x4", "--dps", "30", "--capacity", "1",
+        "--out", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no demand point is both covered by a site and within" in err
+    assert "0 within capacity" in err
 
 
 def test_invalid_radio_combo_exits_one(tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_square_instance
+from conftest import make_line_instance, make_square_instance
 from meshplan.instance import (
     InstanceError,
     RadioParams,
@@ -48,6 +48,12 @@ def test_coverage_matrix_matches_distances(standard_instance):
     expected = (d <= standard_instance.coverage_radius + 1e-12).astype(np.uint8)
     assert np.array_equal(a, expected)
     assert a.flags.writeable is False
+
+
+def test_coverage_matrix_without_demand_points():
+    inst = make_line_instance(3, dp_sites=(), dp_positions=np.zeros((0, 2)))
+    a = coverage_matrix(inst)
+    assert a.shape == (0, 3) and a.dtype == np.uint8
 
 
 def test_connectivity_is_lattice_at_unit_range(standard_instance):

@@ -141,6 +141,8 @@ def test_verify_archive_accepts_archive_object(toy_instance):
     from meshplan.mopso import MopsoConfig, run
 
     result = run(toy_instance, MopsoConfig(swarm_size=8, gmax=6, seed=1))
-    report = verify_archive(result.archive, true_pareto_front(toy_instance))
+    report = verify_archive(
+        result.archive.objectives_matrix(), true_pareto_front(toy_instance)
+    )
     assert report["on_front_fraction"] == 1.0
     assert report["front_coverage_fraction"] == 1.0
