@@ -7,6 +7,10 @@ access points, demand-driven gateway budget, connected installed set); the
 raw constraint space, which additionally admits empty and partially assigned
 deployments, is available for diagnostics via policy_matched=False.
 
+Channel labels are interchangeable when every link has capacity C_max, so
+each space is enumerated with one plan per channel relabeling class (see
+`_edge_configs`); an instance with capacity overrides gets every labeling.
+
 A hard combinatorial guard refuses instances beyond 6 sites, 8 demand
 points, or 3 channels.
 """
@@ -117,12 +121,30 @@ def _valid_installed(nodes: tuple, b: np.ndarray) -> bool:
     return len(seen) == len(node_set)
 
 
-def _edge_configs(nodes: tuple, b: np.ndarray, R: int, K: int):
+def _edge_configs(nodes: tuple, b: np.ndarray, instance: PlanningInstance):
     """Channelized link sets on `nodes` meeting radio and degree limits.
 
     Yields lists of (u, v, k): at most R links and unique channels per node,
     and at least two links per node.
+
+    One labeling per channel relabeling class is yielded: the one whose
+    channels first appear, in edge order, as 0, 1, 2, ... Each edge takes a
+    channel already picked or the lowest one not yet picked (`top` counts
+    the channels picked so far). This is exact when every link has capacity
+    C_max, because then a relabeled plan is feasible exactly when the
+    original is, with the same objective vector:
+    - at most one channel sits on each site pair, and the rules above are
+      invariant under any permutation of channel labels;
+    - `_assemble` sets `w` from the links;
+    - `route_flows` takes a pair's lowest admissible channel, its only one;
+    - in `check_constraints`, C3, C5 and C6 count per (node, channel), C7
+      reads `w` at both ends, C8 sums rows and C10 uses one capacity;
+    - no objective of `evaluate` reads `k`.
+    Capacity overrides make capacity depend on `k`, so an instance with any
+    override gets every labeling.
     """
+    R, K = instance.R, instance.K
+    relabel = not instance.capacity_overrides
     edges = [
         (u, v)
         for ui, u in enumerate(nodes)
@@ -139,7 +161,7 @@ def _edge_configs(nodes: tuple, b: np.ndarray, R: int, K: int):
     used = {v: set() for v in nodes}
     picked: list = []
 
-    def rec(e):
+    def rec(e, top):
         if e == len(edges):
             yield list(picked)
             return
@@ -148,9 +170,9 @@ def _edge_configs(nodes: tuple, b: np.ndarray, R: int, K: int):
             (last_edge[u] == e and degree[u] < 2)
             or (last_edge[v] == e and degree[v] < 2)
         ):
-            yield from rec(e + 1)
+            yield from rec(e + 1, top)
         if degree[u] < R and degree[v] < R:
-            for k in range(K):
+            for k in range(min(K, top + 1) if relabel else K):
                 if k in used[u] or k in used[v]:
                     continue
                 if last_edge[u] == e and degree[u] + 1 < 2:
@@ -162,14 +184,14 @@ def _edge_configs(nodes: tuple, b: np.ndarray, R: int, K: int):
                 used[u].add(k)
                 used[v].add(k)
                 picked.append((u, v, k))
-                yield from rec(e + 1)
+                yield from rec(e + 1, max(top, k + 1))
                 picked.pop()
                 used[v].discard(k)
                 used[u].discard(k)
                 degree[v] -= 1
                 degree[u] -= 1
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def _assemble(
@@ -207,8 +229,11 @@ def enumerate_feasible(
 ):
     """Yield every feasible (solution, objective vector), exhaustively.
 
-    `limit` caps the number of candidate configurations submitted to routing
-    and the constraint checker; exceeding it raises EnumerationLimitError.
+    Yields one plan per channel relabeling class, which has the same
+    feasibility and objective vector as every other plan in it; an instance
+    with capacity overrides yields every labeling. `limit` caps the number
+    of representative candidates submitted to routing and the constraint
+    checker; exceeding it raises EnumerationLimitError.
     """
     _check_guard(instance)
     variant = parse_variant(variant)
@@ -253,7 +278,7 @@ def _policy_candidates(instance: PlanningInstance, a, b):
                     continue
                 if not _valid_installed(installed, b):
                     continue
-                for links in _edge_configs(installed, b, instance.R, instance.K):
+                for links in _edge_configs(installed, b, instance):
                     for gws in combinations(installed, budget):
                         yield _assemble(
                             instance, choice, aps, installed, gws, links
@@ -272,7 +297,7 @@ def _raw_candidates(instance: PlanningInstance, a, b):
         ):
             continue
         for choice, _loads in _assignments(instance, a, installed, maximal=False):
-            for links in _edge_configs(installed, b, instance.R, instance.K):
+            for links in _edge_configs(installed, b, instance):
                 for gcount in range(len(installed) + 1):
                     for gws in combinations(installed, gcount):
                         yield _assemble(
@@ -287,7 +312,12 @@ def true_pareto_front(
     limit: int = 10_000_000,
     coverage_mode: str = "assigned",
 ) -> list:
-    """Deduplicated non-dominated objective vectors, sorted lexicographically."""
+    """Deduplicated non-dominated objective vectors, sorted lexicographically.
+
+    Built from one plan per channel relabeling class (every labeling under
+    capacity overrides); a relabeling never changes an objective vector, so
+    the front is that of the full space.
+    """
     vectors = {
         tuple(float(x) for x in vec)
         for _, vec in enumerate_feasible(

@@ -1,11 +1,17 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, assert_feasible, make_square_instance
-from meshplan.instance import RadioParams, build_grid_instance
+from meshplan import oracle
+from meshplan.instance import PlanningInstance, RadioParams, build_grid_instance
+from meshplan.kernels import pareto_mask
+from meshplan.model import evaluate
 from meshplan.oracle import (
     EnumerationLimitError,
     GuardError,
@@ -17,6 +23,17 @@ from meshplan.oracle import (
 SQRT2 = math.sqrt(2.0)
 
 
+def every_labeling(instance):
+    """The instance with a no-op capacity override on link (0, 1, 0).
+
+    Any override makes the oracle enumerate every channel labeling instead
+    of one per relabeling class, so this copy takes the full path.
+    """
+    return dataclasses.replace(
+        instance, capacity_overrides=((0, 1, 0, instance.C_max),), _cache={}
+    )
+
+
 @pytest.fixture(scope="module")
 def one_dp_instance():
     # a single demand point pinned to site 0; tiny enough to enumerate raw
@@ -25,7 +42,7 @@ def one_dp_instance():
 
 def test_toy_enumeration_census(toy_instance):
     solutions = list(enumerate_feasible(toy_instance))
-    assert len(solutions) == 12
+    assert len(solutions) == 6
     for sol, vec in solutions:
         assert_feasible(sol, toy_instance)
         assert vec.shape == (4,)
@@ -35,6 +52,9 @@ def test_toy_enumeration_census(toy_instance):
         (6.0, -4.0, -0.0, 2.0),
         (6.0, -4.0, -0.0, 2 * SQRT2),
     }
+    full = list(enumerate_feasible(every_labeling(toy_instance)))
+    assert len(full) == 12
+    assert {tuple(v) for _, v in full} == distinct
 
 
 def test_toy_front_single_point(toy_instance):
@@ -58,15 +78,20 @@ def test_committed_front_still_true(toy_instance):
 
 def test_policy_enumeration_counts(one_dp_instance):
     policy = list(enumerate_feasible(one_dp_instance))
-    assert len(policy) == 8
+    assert len(policy) == 4
     assert true_pareto_front(one_dp_instance) == [
         (5.0, -1.0, -4.0, SQRT2)
     ]
+    full = every_labeling(one_dp_instance)
+    assert len(list(enumerate_feasible(full))) == 8
+    assert true_pareto_front(full) == [(5.0, -1.0, -4.0, SQRT2)]
 
 
 def test_raw_enumeration_is_superset(one_dp_instance):
     raw = list(enumerate_feasible(one_dp_instance, policy_matched=False))
-    assert len(raw) == 993
+    assert len(raw) == 497
+    full = every_labeling(one_dp_instance)
+    assert len(list(enumerate_feasible(full, policy_matched=False))) == 993
     policy_vecs = {
         tuple(v) for _, v in enumerate_feasible(one_dp_instance)
     }
@@ -78,6 +103,94 @@ def test_raw_enumeration_is_superset(one_dp_instance):
     assert (0.0, -0.0, -0.0, 0.0) in front
     assert (5.0, -1.0, -4.0, SQRT2) in front
     assert len(front) == 3
+
+
+def test_benchmark_instance_routes_one_labeling_per_class(monkeypatch):
+    # the verify2x3 benchmark instance: 528 link configurations, each of
+    # them under all 3! channel labelings on the full path
+    inst = build_grid_instance(
+        2, 3, 6, RadioParams(radios=2, channels=3, capacity=8.0), 4,
+        coverage_radius=0.8,
+    )
+    calls = 0
+    route_flows = oracle.route_flows
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return route_flows(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "route_flows", counted)
+    front = [(8.0, -6.0, -6.0, 2.449489742783178)]
+    assert true_pareto_front(inst) == front
+    assert calls == 1_320
+    calls = 0
+    assert true_pareto_front(every_labeling(inst)) == front
+    assert calls == 7_920
+
+
+def _front(vectors):
+    ordered = sorted({tuple(float(x) for x in v) for v in vectors})
+    if not ordered:
+        return []
+    mask = pareto_mask(np.array(ordered, dtype=np.float64))
+    return [v for v, keep in zip(ordered, mask) if keep]
+
+
+@st.composite
+def tiny_instances(draw):
+    # 2x3 only at K = 2: at K = 3 its full path runs up to ~200,000
+    # candidates; the benchmark-instance test above covers one such case.
+    # The 1x3 row gets a backbone range of 2 so its sites form a triangle,
+    # which needs three channels.
+    rows, cols, K = draw(st.sampled_from(
+        [(2, 2, 2), (2, 2, 3), (1, 3, 3), (2, 3, 2)]
+    ))
+    n_dps = draw(st.integers(2, 5))
+    coord = st.tuples(
+        st.floats(0.0, cols - 1.0), st.floats(0.0, rows - 1.0)
+    )
+    dps = draw(st.lists(coord, min_size=n_dps, max_size=n_dps))
+    return PlanningInstance(
+        rows=rows,
+        cols=cols,
+        spacing=1.0,
+        sites=np.array(
+            [(c, r) for r in range(rows) for c in range(cols)], dtype=np.float64
+        ),
+        dp_positions=np.array(dps, dtype=np.float64),
+        dp_traffic=np.full(n_dps, 2.0),
+        coverage_radius=draw(st.sampled_from([0.8, 1.0])),
+        backbone_range=2.0 if rows == 1 else 1.0,
+        R=2,
+        K=K,
+        C_max=draw(st.sampled_from([6.0, 8.0, 10.0])),
+        A=3,
+        M=1000.0,
+        seed=0,
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(tiny_instances())
+def test_one_labeling_per_class_is_exact(inst):
+    reduced = list(enumerate_feasible(inst))
+    for sol, _ in reduced:
+        assert_feasible(sol, inst)
+    # each representative stands for K! / (K - c)! labelings, c being the
+    # number of distinct channels on its links
+    orbit_total = sum(
+        math.perm(inst.K, len({k for _, _, k in sol.link_list()}))
+        for sol, _ in reduced
+    )
+    # one pass over the full path gives its count and both of its fronts
+    full = every_labeling(inst)
+    every = list(enumerate_feasible(full))
+    assert len(every) == orbit_total
+    assert true_pareto_front(inst) == _front(v for _, v in every)
+    assert true_pareto_front(inst, variant="cov") == _front(
+        evaluate(sol, full, "cov") for sol, _ in every
+    )
 
 
 def test_enumeration_includes_only_feasible(one_dp_instance):
