@@ -9,6 +9,8 @@ randomness.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .flow import RoutingInfeasibleError, route_flows
@@ -20,6 +22,7 @@ from .instance import (
     grid_neighbors,
 )
 from .model import FEAS_TOL, Solution, check_constraints
+
 
 class ChannelAssignmentError(Exception):
     """Greedy channel assignment left an installed node under-linked."""
@@ -268,11 +271,63 @@ def assign_channels(partial: Solution, instance: PlanningInstance) -> Solution:
     return partial
 
 
+def placement_key(partial: Solution) -> bytes:
+    """The placement that fixes everything the rebuild does after gateways.
+
+    The raw bytes of ap, relay and gateway, then x packed to one bit per
+    entry. Packing is exact because x is 0/1 in every placement: particles
+    pass C15, mutation writes only 0 and `place_access_points` only 1. The
+    array shapes are fixed by the instance, so within one run equal keys
+    mean equal arrays.
+    """
+    return b"".join((
+        partial.ap.tobytes(), partial.relay.tobytes(),
+        partial.gateway.tobytes(), np.packbits(partial.x).tobytes(),
+    ))
+
+
+@dataclass
+class Outcome:
+    """What channel assignment, routing and the check made of one placement.
+
+    Exactly one of `plan` and `failure` is set. `failure` is the exception's
+    class and constructor arguments, not the exception: its traceback would
+    keep the failed attempt's frames and plans alive.
+    """
+
+    plan: Solution | None = None        # the routed plan, read-only
+    failure: tuple | None = None        # (exception class, args)
+    feasible: bool | None = None        # check_constraints verdict, once run
+
+
+class Outcomes(dict):
+    """`placement_key` -> `Outcome` for one run, at most `capacity` entries.
+
+    Storing into a full memo drops the oldest entry (insertion order).
+    """
+
+    def __init__(self, capacity: int):
+        super().__init__()
+        self.capacity = capacity
+
+    def store(self, key: bytes, outcome: Outcome) -> None:
+        if len(self) >= self.capacity:
+            del self[next(iter(self))]
+        self[key] = outcome
+
+
+def _route_placement(partial: Solution, instance: PlanningInstance) -> Solution:
+    assign_channels(partial, instance)
+    routed, _ = route_flows(partial, instance)
+    return routed
+
+
 def rebuild_pipeline(
     partial: Solution,
     instance: PlanningInstance,
     rng: np.random.Generator,
     gateway_count: int | None = None,
+    outcomes: Outcomes | None = None,
 ) -> Solution:
     """Re-run placement steps on a partial (roles and assignments kept).
 
@@ -280,6 +335,14 @@ def rebuild_pipeline(
     point: rebuilding a copy draws nothing from `rng` and reproduces every
     array byte for byte: no step finds a demand point to place, a component
     to join, a node short of neighbors or a gateway missing.
+
+    With `outcomes`, the steps after `select_gateways` run once per
+    placement. They draw nothing, and channel assignment and routing read
+    only the placement (`placement_key`), so a stored outcome is exactly
+    what running them again would give. A miss stores the routed plan,
+    frozen, or the failure's class and arguments; a hit returns that same
+    plan object, or raises a fresh exception of the stored class with the
+    stored arguments.
     """
     partial.w[:] = 0
     partial.clear_links()
@@ -288,9 +351,22 @@ def rebuild_pipeline(
     place_relays(partial, instance)
     connect_backbone(partial, instance)
     select_gateways(partial, instance, rng, gateway_count)
-    assign_channels(partial, instance)
-    routed, _ = route_flows(partial, instance)
-    return routed
+    if outcomes is None:
+        return _route_placement(partial, instance)
+    key = placement_key(partial)
+    outcome = outcomes.get(key)
+    if outcome is None:
+        try:
+            routed = _route_placement(partial, instance)
+        except REBUILD_FAILURES as exc:
+            outcomes.store(key, Outcome(failure=(type(exc), exc.args)))
+            raise
+        outcomes.store(key, Outcome(plan=routed.freeze()))
+        return routed
+    if outcome.failure is not None:
+        cls, args = outcome.failure
+        raise cls(*args)
+    return outcome.plan
 
 
 def construct_feasible(

@@ -21,11 +21,18 @@ from .model import FEAS_TOL, Solution
 
 
 class RoutingInfeasibleError(Exception):
-    """Some demand site cannot reach any gateway within hop and capacity limits."""
+    """Some demand site cannot reach any gateway within hop and capacity limits.
+
+    `args` is `(site, reason)`, so `RoutingInfeasibleError(*exc.args)` makes
+    the same error again without the traceback of the first.
+    """
 
     def __init__(self, site: int, reason: str):
+        super().__init__(site, reason)
         self.site = site
-        super().__init__(f"site {site}: {reason}")
+
+    def __str__(self) -> str:
+        return f"site {self.site}: {self.args[1]}"
 
 
 @dataclass
@@ -147,6 +154,8 @@ def route_flows(
             for row, gw in zip(gw_hops, gateways)
             if row[site] != UNREACHABLE
         )
+        if not order:
+            raise RoutingInfeasibleError(site, f"no gateway within {A} hops")
         routed = False
         for base_hops, gw in order:
             if base_hops == 0:
@@ -177,8 +186,7 @@ def route_flows(
                 break
         if not routed:
             raise RoutingInfeasibleError(
-                site,
-                f"no path to any gateway within {A} hops and link capacity",
+                site, f"every path within {A} hops blocked by link capacity"
             )
 
     # Re-emit links and flows with final directions.

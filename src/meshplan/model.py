@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -118,6 +118,15 @@ class Solution:
             x=self.x.copy(), w=self.w.copy(), links=self.links.copy(),
             L=self.L.copy(), f=self.f.copy(), F=self.F.copy(),
         )
+
+    def freeze(self) -> "Solution":
+        """Make every array read-only, for a plan several holders share.
+
+        A write then raises ValueError; `copy` gives writable arrays.
+        """
+        for spec in fields(self):
+            getattr(self, spec.name).flags.writeable = False
+        return self
 
     def clear_links(self) -> None:
         self.links, self.L, self.f = _no_links()

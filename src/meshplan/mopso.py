@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import REBUILD_FAILURES, construct_feasible, rebuild_pipeline
+from .construct import (
+    REBUILD_FAILURES,
+    Outcomes,
+    construct_feasible,
+    placement_key,
+    rebuild_pipeline,
+)
 from .instance import PlanningInstance
 from .kernels import crowding_distance_kernel
 from .model import (
@@ -141,6 +147,7 @@ def mutate_solution(
     mut: float,
     gateway_count: int | None = None,
     retries: int = 8,
+    outcomes: Outcomes | None = None,
 ) -> Solution:
     """Randomly drop APs and move gateway flags, then rebuild and re-route.
 
@@ -152,6 +159,10 @@ def mutate_solution(
     `fallback` must be a feasible `rebuild_pipeline` output, as every
     particle's plan is: an attempt whose ap, relay, gateway and x equal it
     returns it without the rebuild and check, which would reproduce it.
+
+    `outcomes` is passed to `rebuild_pipeline`. The check runs once per
+    stored plan and its verdict is kept in the plan's `Outcome`, so a
+    placement seen before costs neither routing nor the check.
     """
     for _ in range(retries):
         work = base.copy()
@@ -175,12 +186,24 @@ def mutate_solution(
         ):
             return fallback
         try:
-            rebuilt = rebuild_pipeline(work, instance, rng, gateway_count)
+            rebuilt = rebuild_pipeline(work, instance, rng, gateway_count, outcomes)
         except REBUILD_FAILURES:
             continue
-        if check_constraints(rebuilt, instance).feasible:
+        if _feasible(rebuilt, instance, outcomes):
             return rebuilt
     return fallback
+
+
+def _feasible(
+    plan: Solution, instance: PlanningInstance, outcomes: Outcomes | None
+) -> bool:
+    """`check_constraints` verdict on a rebuilt plan, run once per stored plan."""
+    outcome = None if outcomes is None else outcomes.get(placement_key(plan))
+    if outcome is None:
+        return check_constraints(plan, instance).feasible
+    if outcome.feasible is None:
+        outcome.feasible = check_constraints(plan, instance).feasible
+    return outcome.feasible
 
 
 def _recombine(
@@ -259,11 +282,19 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
     draws only from its own stream (seed, g, i). A step reads only its own
     particle and leaders fixed before the generation, and each candidate is
     offered to the archive as soon as it is evaluated, in particle order.
+
+    The run keeps one `Outcomes` memo for its mutations, bounded by
+    `archive_capacity` (no more plans than the archive may keep), and it
+    reuses a particle's objective vector when mutation returns that
+    particle's plan object. Neither changes a result: both skip only work
+    that is a pure function of inputs already judged.
     """
     config.validate()
     names = VARIANTS[parse_variant(config.variant)]
     archive = ParetoArchive(config.archive_capacity)
-    particles: list[Solution] = []
+    outcomes = Outcomes(config.archive_capacity)
+    particles: list[Solution | None] = [None] * config.swarm_size
+    vectors: list[np.ndarray | None] = [None] * config.swarm_size
     leaders: list[Solution] = []
     stats: list[dict] = []
     seq = 0
@@ -282,16 +313,20 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
                 sol = construct_feasible(
                     instance, rng, gateway_count=config.gateway_count
                 )
-                particles.append(sol)
             else:
                 base = particles[i]
                 if leaders:
                     base = _recombine(base, leaders, instance, rng)
                 sol = mutate_solution(
-                    base, particles[i], instance, rng, config.mut, config.gateway_count
+                    base, particles[i], instance, rng, config.mut,
+                    config.gateway_count, outcomes=outcomes,
                 )
+            if sol is not particles[i]:
                 particles[i] = sol
-            vec = evaluate(sol, instance, config.variant, config.coverage_mode)
+                vectors[i] = evaluate(
+                    sol, instance, config.variant, config.coverage_mode
+                )
+            vec = vectors[i]
             archive.update(sol, vec, seq)
             seq += 1
             key = (float(vec[0]), float(vec[1]))

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from meshplan.instance import (
     PlanningInstance,
@@ -13,6 +14,9 @@ from meshplan.instance import (
 from meshplan.model import FEAS_TOL, Solution, check_constraints
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+#: Every array of a Solution, in field order.
+PLAN_ARRAYS = ("ap", "relay", "gateway", "x", "w", "links", "L", "f", "F")
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +29,36 @@ def standard_instance():
 def toy_instance():
     """The committed 4-site toy small enough for exhaustive enumeration."""
     return load_instance(FIXTURES / "toy2x2_instance.json")
+
+
+def make_verify2x3_instance():
+    """The instance of the verify2x3 benchmark workload."""
+    return build_grid_instance(
+        2, 3, 6, RadioParams(radios=2, channels=3, capacity=8.0), 4,
+        coverage_radius=0.8,
+    )
+
+
+@pytest.fixture(scope="session")
+def verify2x3_instance():
+    return make_verify2x3_instance()
+
+
+@st.composite
+def planning_cases(draw):
+    """A small grid instance, a gateway count (None: automatic) and a seed."""
+    radios = draw(st.integers(2, 4))
+    radio = RadioParams(
+        radios=radios,
+        channels=draw(st.integers(radios, 6)),
+        capacity=draw(st.sampled_from([6.0, 12.0, 54.0])),
+    )
+    inst = build_grid_instance(
+        draw(st.integers(2, 4)), draw(st.integers(2, 4)),
+        n_dps=draw(st.integers(1, 30)), radio=radio, seed=draw(st.integers(0, 999)),
+        random_matrix_density=draw(st.sampled_from([None, None, 0.5, 0.75, 1.0])),
+    )
+    return inst, draw(st.sampled_from([None, 1, 2, 3])), draw(st.integers(0, 999))
 
 
 @pytest.fixture

@@ -1,20 +1,24 @@
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from meshplan import construct, mopso
 from conftest import (
+    PLAN_ARRAYS,
     assert_feasible,
     dense,
     dense_links,
     make_line_instance,
     make_square_instance,
+    planning_cases,
 )
 from meshplan.construct import (
     ChannelAssignmentError,
     ConstructionInfeasibleError,
     GatewayBudgetError,
+    Outcomes,
     assign_channels,
     connect_backbone,
     construct_feasible,
@@ -23,6 +27,7 @@ from meshplan.construct import (
     rebuild_pipeline,
     select_gateways,
 )
+from meshplan.flow import RoutingInfeasibleError
 from meshplan.instance import (
     PlanningInstance,
     RadioParams,
@@ -301,28 +306,8 @@ def test_construct_retries_past_backbone_failure():
     assert "degree 2" in str(err.value)
 
 
-PLAN_ARRAYS = ("ap", "relay", "gateway", "x", "w", "links", "L", "f", "F")
-
-
-@st.composite
-def _planning_cases(draw):
-    """A small grid instance, a gateway count (None: automatic) and a seed."""
-    radios = draw(st.integers(2, 4))
-    radio = RadioParams(
-        radios=radios,
-        channels=draw(st.integers(radios, 6)),
-        capacity=draw(st.sampled_from([6.0, 12.0, 54.0])),
-    )
-    inst = build_grid_instance(
-        draw(st.integers(2, 4)), draw(st.integers(2, 4)),
-        n_dps=draw(st.integers(1, 30)), radio=radio, seed=draw(st.integers(0, 999)),
-        random_matrix_density=draw(st.sampled_from([None, None, 0.5, 0.75, 1.0])),
-    )
-    return inst, draw(st.sampled_from([None, 1, 2, 3])), draw(st.integers(0, 999))
-
-
 @settings(max_examples=200, deadline=None)
-@given(_planning_cases())
+@given(planning_cases())
 def test_rebuild_pipeline_output_is_a_fixed_point(case):
     """Rebuilding a copy of any plan the pipeline returned (constructed or
     mutated) draws nothing and reproduces every array byte for byte; the
@@ -381,3 +366,39 @@ def test_gateway_budget_is_retried(standard_instance, rng):
     )
     assert out is plan
     assert issubclass(GatewayBudgetError, ValueError)  # CLI exit code 1 kept
+
+
+def test_memo_replays_a_routing_failure_without_its_traceback(monkeypatch):
+    # the square's demand site 0 reaches gateway 3 only over links of
+    # capacity 1, short of its 2 Mb/s
+    inst = make_square_instance(
+        capacity_overrides=tuple(
+            (u, v, k, 1.0) for u, v in ((0, 1), (0, 2)) for k in (0, 1)
+        )
+    )
+    partial = Solution.empty(inst)
+    partial.ap[0] = partial.x[0, 0] = 1
+    partial.relay[3] = partial.gateway[3] = 1
+    outcomes = Outcomes(2)
+    with pytest.raises(RoutingInfeasibleError) as first:
+        rebuild_pipeline(partial.copy(), inst, np.random.default_rng(0), None, outcomes)
+
+    def forbidden(*args):
+        raise AssertionError("a stored placement was routed again")
+
+    monkeypatch.setattr(construct, "route_flows", forbidden)
+    with pytest.raises(RoutingInfeasibleError) as again:
+        rebuild_pipeline(partial.copy(), inst, np.random.default_rng(0), None, outcomes)
+    message = "site 0: every path within 3 hops blocked by link capacity"
+    assert str(first.value) == str(again.value) == message
+    assert first.value.site == again.value.site == 0
+    assert again.value is not first.value
+    assert again.value.__context__ is None and again.value.__cause__ is None
+    frames = [f.name for f in traceback.extract_tb(again.value.__traceback__)]
+    assert "route_flows" not in frames
+    assert "route_flows" in [
+        f.name for f in traceback.extract_tb(first.value.__traceback__)
+    ]
+    (outcome,) = outcomes.values()
+    assert outcome.plan is None
+    assert outcome.failure == (RoutingInfeasibleError, (0, message[len("site 0: "):]))

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from conftest import (
     assert_flow_conserved,
@@ -9,9 +10,17 @@ from conftest import (
     dense_links,
     make_line_instance,
     make_square_instance,
+    planning_cases,
 )
+from meshplan.construct import ConstructionInfeasibleError, construct_feasible
 from meshplan.flow import RoutingInfeasibleError, route_flows, traces_to_json
-from meshplan.model import Solution, check_constraints, evaluate_link_balance
+from meshplan.instance import row_capacities
+from meshplan.model import (
+    FEAS_TOL,
+    Solution,
+    check_constraints,
+    evaluate_link_balance,
+)
 
 
 def _line_solution(inst, gateway_site):
@@ -165,13 +174,15 @@ def test_saturated_cut_is_infeasible():
     with pytest.raises(RoutingInfeasibleError) as exc:
         route_flows(sol, inst)
     assert exc.value.site == 0
+    assert str(exc.value) == "site 0: every path within 3 hops blocked by link capacity"
 
 
 def test_hop_bound_excludes_far_gateways():
     inst = make_line_instance(6, A=3)
     sol = _line_solution(inst, gateway_site=5)
-    with pytest.raises(RoutingInfeasibleError):
+    with pytest.raises(RoutingInfeasibleError) as exc:
         route_flows(sol, inst)
+    assert str(exc.value) == "site 0: no gateway within 3 hops"
     relaxed = make_line_instance(6, A=5)
     routed, traces = route_flows(_line_solution(relaxed, 5), relaxed)
     assert traces[0].path == [0, 1, 2, 3, 4, 5]
@@ -218,3 +229,23 @@ def test_traces_serialize_to_json():
     assert payload == [
         {"site": 0, "gateway": 2, "path": [0, 1, 2], "demand": 2.0}
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(planning_cases())
+def test_routing_conserves_flow_within_link_capacity(case):
+    inst, gateway_count, seed = case
+    try:
+        plan = construct_feasible(
+            inst, np.random.default_rng(seed), max_retries=20,
+            gateway_count=gateway_count,
+        )
+    except ConstructionInfeasibleError:
+        assume(False)
+    routed, traces = route_flows(plan, inst)
+    assert_flow_conserved(routed, inst)
+    caps = np.array(row_capacities(inst, routed.links))
+    assert np.all(routed.f <= routed.L * caps + FEAS_TOL)
+    assert sum(t.demand for t in traces) == pytest.approx(
+        float(routed.site_loads(inst).sum())
+    )

@@ -3,9 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import dense_links, make_line_instance, make_square_instance
-from meshplan.construct import construct_feasible
+from conftest import (
+    PLAN_ARRAYS,
+    dense_links,
+    make_line_instance,
+    make_square_instance,
+    planning_cases,
+)
+from meshplan.construct import ConstructionInfeasibleError, construct_feasible
 from meshplan.model import (
     FEAS_TOL,
     Solution,
@@ -353,6 +360,24 @@ def test_solution_round_trip(feasible, standard_instance):
     assert np.allclose(loaded.f, feasible.f)
     assert np.allclose(loaded.F, feasible.F)
     assert check_constraints(loaded, standard_instance).feasible
+
+
+@settings(max_examples=60, deadline=None)
+@given(planning_cases())
+def test_random_plans_round_trip_through_json(case):
+    inst, gateway_count, seed = case
+    try:
+        plan = construct_feasible(
+            inst, np.random.default_rng(seed), max_retries=20,
+            gateway_count=gateway_count,
+        )
+    except ConstructionInfeasibleError:
+        assume(False)
+    loaded = solution_from_dict(json.loads(json.dumps(solution_to_dict(plan))))
+    for name in PLAN_ARRAYS:
+        want, got = getattr(plan, name), getattr(loaded, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_solution_from_dict_rejects_bad_version(feasible):

@@ -1,12 +1,26 @@
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_feasible, make_line_instance
-from meshplan import mopso
-from meshplan.construct import ConstructionInfeasibleError, construct_feasible
+from conftest import (
+    PLAN_ARRAYS,
+    assert_feasible,
+    make_line_instance,
+    make_verify2x3_instance,
+    planning_cases,
+)
+from meshplan import construct, mopso
+from meshplan.construct import (
+    ConstructionInfeasibleError,
+    Outcomes,
+    construct_feasible,
+    placement_key,
+)
 from meshplan.model import Solution, check_constraints, dominates, evaluate
 from meshplan.mopso import (
     MopsoConfig,
@@ -259,3 +273,123 @@ def test_stats_csv_schema(standard_instance):
         # objectives outside the active variant stay blank
         assert row[4] == "" and row[5] == ""
     assert text.endswith("\n")
+
+
+def _same_plan(got, want):
+    for name in PLAN_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _run_recording_offers(instance, config):
+    """run(instance, config) and the bytes of every candidate it offered to
+    the archive: the nine plan arrays and the objective vector."""
+    offers = []
+    update = mopso.ParetoArchive.update
+
+    def recording(archive, solution, objectives, seq):
+        offers.append(tuple(
+            getattr(solution, name).tobytes() for name in PLAN_ARRAYS
+        ) + (objectives.tobytes(),))
+        return update(archive, solution, objectives, seq)
+
+    with mock.patch.object(mopso.ParetoArchive, "update", recording):
+        return run(instance, config), offers
+
+
+@settings(max_examples=40, deadline=None)
+@given(planning_cases(), st.sampled_from([1, 3, 100]), st.booleans())
+@example((make_verify2x3_instance(), None, 0), 100, False)
+def test_outcome_memo_changes_no_result(case, capacity, recombine):
+    """A run with the memo evaluates, byte for byte, the candidates of a run
+    whose rebuilds never see it, and ends with the same archive, stats and
+    incumbent. The benchmark instance repeats most of its placements, so it
+    is always one of the examples."""
+    inst, gateway_count, seed = case
+    try:
+        construct_feasible(inst, np.random.default_rng(seed), max_retries=20,
+                           gateway_count=gateway_count)
+    except ConstructionInfeasibleError:
+        assume(False)
+    config = dict(swarm_size=4, gmax=8, mut=0.4, archive_capacity=capacity,
+                  seed=seed, gateway_count=gateway_count, recombine=recombine)
+    try:
+        memo, memo_offers = _run_recording_offers(inst, MopsoConfig(**config))
+    except ConstructionInfeasibleError:
+        assume(False)
+    real = mopso.rebuild_pipeline
+    with mock.patch.object(mopso, "rebuild_pipeline", lambda *args: real(*args[:4])):
+        plain, plain_offers = _run_recording_offers(inst, MopsoConfig(**config))
+    assert memo_offers == plain_offers
+    assert memo.stats == plain.stats
+    assert np.array_equal(
+        memo.archive.objectives_matrix(), plain.archive.objectives_matrix()
+    )
+    assert [e.seq for e in memo.archive.entries] == [
+        e.seq for e in plain.archive.entries
+    ]
+    for got, want in zip(memo.archive.entries, plain.archive.entries):
+        _same_plan(got.solution, want.solution)
+    _same_plan(memo.incumbent, plain.incumbent)
+    assert np.array_equal(memo.incumbent_objectives, plain.incumbent_objectives)
+
+
+def test_outcome_memo_holds_at_most_archive_capacity(verify2x3_instance):
+    real = mopso.rebuild_pipeline
+    sizes = []
+
+    def rebuild(*args):
+        try:
+            return real(*args)
+        finally:
+            sizes.append(len(args[4]))
+
+    with mock.patch.object(mopso, "rebuild_pipeline", rebuild):
+        run(verify2x3_instance,
+            MopsoConfig(swarm_size=10, gmax=20, archive_capacity=3, seed=0))
+    assert max(sizes) == 3
+
+
+def test_outcomes_drop_the_oldest_entry_first():
+    outcomes = Outcomes(2)
+    for key in (b"a", b"b", b"c"):
+        outcomes.store(key, construct.Outcome(feasible=True))
+    assert list(outcomes) == [b"b", b"c"]
+
+
+def _memo_hit(instance, monkeypatch):
+    """A plan stored by one mutation, then returned by a second one."""
+    plan = construct_feasible(instance, np.random.default_rng(0))
+    empty = Solution.empty(instance)  # a fallback no attempt can equal
+    outcomes = Outcomes(4)
+    first = mutate_solution(plan, empty, instance, np.random.default_rng(1), 0.0,
+                            outcomes=outcomes)
+    assert first is not empty
+    assert outcomes[placement_key(plan)].plan is first
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a stored placement was routed or checked again")
+
+    for module, name in ((construct, "assign_channels"),
+                         (construct, "route_flows"),
+                         (mopso, "check_constraints")):
+        monkeypatch.setattr(module, name, forbidden)
+    second = mutate_solution(plan, empty, instance, np.random.default_rng(2), 0.0,
+                             outcomes=outcomes)
+    return plan, first, second
+
+
+def test_memo_hit_skips_routing_and_the_check(verify2x3_instance, monkeypatch):
+    plan, first, second = _memo_hit(verify2x3_instance, monkeypatch)
+    assert second is first
+    _same_plan(first, plan)  # a pipeline output rebuilds to itself
+
+
+def test_stored_plans_are_read_only(verify2x3_instance, monkeypatch):
+    _, stored, _ = _memo_hit(verify2x3_instance, monkeypatch)
+    for name in PLAN_ARRAYS:
+        array = getattr(stored, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert all(getattr(stored.copy(), name).flags.writeable for name in PLAN_ARRAYS)

@@ -105,13 +105,12 @@ def test_raw_enumeration_is_superset(one_dp_instance):
     assert len(front) == 3
 
 
-def test_benchmark_instance_routes_one_labeling_per_class(monkeypatch):
+def test_benchmark_instance_routes_one_labeling_per_class(
+    verify2x3_instance, monkeypatch
+):
     # the verify2x3 benchmark instance: 528 link configurations, each of
     # them under all 3! channel labelings on the full path
-    inst = build_grid_instance(
-        2, 3, 6, RadioParams(radios=2, channels=3, capacity=8.0), 4,
-        coverage_radius=0.8,
-    )
+    inst = verify2x3_instance
     calls = 0
     route_flows = oracle.route_flows
 
