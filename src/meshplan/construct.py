@@ -9,8 +9,6 @@ randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .flow import RoutingInfeasibleError, route_flows
@@ -32,7 +30,7 @@ class ConstructionInfeasibleError(Exception):
     """No feasible solution produced within the retry budget."""
 
 
-class GatewayBudgetError(ValueError):
+class GatewayBudgetError(Exception):
     """More gateways requested than the plan has installed nodes."""
 
 
@@ -286,40 +284,24 @@ def placement_key(partial: Solution) -> bytes:
     ))
 
 
-@dataclass
-class Outcome:
-    """What channel assignment, routing and the check made of one placement.
-
-    Exactly one of `plan` and `failure` is set. `failure` is the exception's
-    class and constructor arguments, not the exception: its traceback would
-    keep the failed attempt's frames and plans alive.
-    """
-
-    plan: Solution | None = None        # the routed plan, read-only
-    failure: tuple | None = None        # (exception class, args)
-    feasible: bool | None = None        # check_constraints verdict, once run
-
-
 class Outcomes(dict):
-    """`placement_key` -> `Outcome` for one run, at most `capacity` entries.
+    """Checked plans of one run by `placement_key`, at most `capacity`.
 
-    Storing into a full memo drops the oldest entry (insertion order).
+    Each plan has passed `check_constraints` and is read-only. Storing into
+    a full memo drops the oldest entry (insertion order).
     """
 
     def __init__(self, capacity: int):
         super().__init__()
         self.capacity = capacity
 
-    def store(self, key: bytes, outcome: Outcome) -> None:
+    def lookup(self, partial: Solution) -> Solution | None:
+        return self.get(placement_key(partial))
+
+    def store(self, plan: Solution) -> None:
         if len(self) >= self.capacity:
             del self[next(iter(self))]
-        self[key] = outcome
-
-
-def _route_placement(partial: Solution, instance: PlanningInstance) -> Solution:
-    assign_channels(partial, instance)
-    routed, _ = route_flows(partial, instance)
-    return routed
+        self[placement_key(plan)] = plan.freeze()
 
 
 def rebuild_pipeline(
@@ -336,37 +318,25 @@ def rebuild_pipeline(
     array byte for byte: no step finds a demand point to place, a component
     to join, a node short of neighbors or a gateway missing.
 
-    With `outcomes`, the steps after `select_gateways` run once per
-    placement. They draw nothing, and channel assignment and routing read
-    only the placement (`placement_key`), so a stored outcome is exactly
-    what running them again would give. A miss stores the routed plan,
-    frozen, or the failure's class and arguments; a hit returns that same
-    plan object, or raises a fresh exception of the stored class with the
-    stored arguments.
+    `outcomes` is only read. The steps after `select_gateways` draw nothing
+    and read only the placement (`placement_key`), so when it holds a plan
+    for this placement, that plan object is exactly what they would give and
+    is returned without running them. Otherwise channel assignment and
+    routing run, and their failures propagate.
     """
     partial.w[:] = 0
-    partial.clear_links()
     partial.F[:] = 0.0
     place_access_points(partial, instance, rng)
     place_relays(partial, instance)
     connect_backbone(partial, instance)
     select_gateways(partial, instance, rng, gateway_count)
-    if outcomes is None:
-        return _route_placement(partial, instance)
-    key = placement_key(partial)
-    outcome = outcomes.get(key)
-    if outcome is None:
-        try:
-            routed = _route_placement(partial, instance)
-        except REBUILD_FAILURES as exc:
-            outcomes.store(key, Outcome(failure=(type(exc), exc.args)))
-            raise
-        outcomes.store(key, Outcome(plan=routed.freeze()))
-        return routed
-    if outcome.failure is not None:
-        cls, args = outcome.failure
-        raise cls(*args)
-    return outcome.plan
+    if outcomes is not None:
+        stored = outcomes.lookup(partial)
+        if stored is not None:
+            return stored
+    assign_channels(partial, instance)
+    routed, _ = route_flows(partial, instance)
+    return routed
 
 
 def construct_feasible(

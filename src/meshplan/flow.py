@@ -3,9 +3,10 @@
 Routing policy: sites are processed in increasing index order; each site's
 whole assigned demand follows one path to its nearest gateway (ties: lowest
 gateway index, then lexicographically smallest path). If a path would overrun
-a link capacity, up to max_path_tries alternatives per gateway are probed by
-removing the first offending edge and re-searching; remaining gateways are
-tried in hop order. Paths longer than the hop bound are rejected outright.
+a link capacity, up to 8 alternatives per gateway (MAX_PATH_TRIES) are
+probed by removing the first offending edge and re-searching; remaining
+gateways are tried in hop order. Paths longer than the hop bound are
+rejected outright.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from .instance import PlanningInstance, row_capacities
 from .kernels import UNREACHABLE, adjacency_csr, bfs_hops, bfs_hops_multi
 from .model import FEAS_TOL, Solution
 
+#: Paths probed per gateway before routing moves on to the next gateway.
+MAX_PATH_TRIES = 8
+
 
 class RoutingInfeasibleError(Exception):
     """Some demand site cannot reach any gateway within hop and capacity limits.
 
-    `args` is `(site, reason)`, so `RoutingInfeasibleError(*exc.args)` makes
-    the same error again without the traceback of the first.
+    `args` is `(site, reason)`.
     """
 
     def __init__(self, site: int, reason: str):
@@ -76,9 +79,7 @@ def _lex_shortest_path(indptr, indices, dist_from_gw, site, gateway):
 
 
 def route_flows(
-    solution: Solution,
-    instance: PlanningInstance,
-    max_path_tries: int = 8,
+    solution: Solution, instance: PlanningInstance
 ) -> tuple[Solution, list]:
     """Route every site's assigned demand to a gateway; returns (solution, traces).
 
@@ -166,7 +167,7 @@ def route_flows(
             dropped = set()
             cur_indptr, cur_indices = indptr, indices
             dist = gw_hops[gateways.index(gw)]
-            for _ in range(max_path_tries):
+            for _ in range(MAX_PATH_TRIES):
                 if dist[site] == UNREACHABLE:
                     break
                 path = _lex_shortest_path(cur_indptr, cur_indices, dist, site, gw)
@@ -196,7 +197,6 @@ def route_flows(
             key = (u, v, k)
             a, b = flow_dir.get(key, (u, v))
             rows.append((a, b, k, 1, flow_amt.get(key, 0.0)))
-    out.clear_links()
     out.set_links(rows)
     out.F = np.array(throughput, dtype=np.float64)
     return out, traces

@@ -26,20 +26,6 @@ class RadioParams:
     channels: int = 11
     max_hops: int = 3
 
-    def validate(self) -> None:
-        if not self.traffic > 0:  # `not x > 0` rejects NaN too
-            raise InstanceError("traffic must be positive")
-        if not self.capacity > 0:
-            raise InstanceError("capacity must be positive")
-        if self.radios < 1:
-            raise InstanceError("radios must be >= 1")
-        if self.channels < self.radios:
-            raise InstanceError(
-                f"channels ({self.channels}) must be >= radios ({self.radios})"
-            )
-        if self.max_hops < 1:
-            raise InstanceError("max_hops must be >= 1")
-
 
 @dataclass(frozen=True, eq=False)
 class PlanningInstance:
@@ -84,14 +70,14 @@ class PlanningInstance:
             raise InstanceError("capacity must be positive")
         if self.A < 1:
             raise InstanceError("hop bound must be >= 1")
+        if not np.all(self.dp_traffic > 0):
+            raise InstanceError("demand traffic must be positive")
         if not self.M > 0:
             raise InstanceError("gateway big-M must be positive")
         if self.sites.shape != (self.rows * self.cols, 2):
             raise InstanceError("sites array does not match grid shape")
         if self.dp_positions.shape != (len(self.dp_traffic), 2):
             raise InstanceError("demand point arrays disagree on count")
-        if not np.all(self.dp_traffic > 0):
-            raise InstanceError("demand traffic must be positive")
         if self.random_matrix_density is not None and not (
             0.0 < self.random_matrix_density <= 1.0
         ):
@@ -159,7 +145,6 @@ def build_grid_instance(
         raise InstanceError("need at least one demand point")
     if seed < 0:
         raise InstanceError("seed must be >= 0")
-    radio.validate()
     rng = np.random.default_rng(seed)
     sites = np.array(
         [(c * spacing, r * spacing) for r in range(rows) for c in range(cols)],

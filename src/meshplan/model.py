@@ -128,20 +128,16 @@ class Solution:
             getattr(self, spec.name).flags.writeable = False
         return self
 
-    def clear_links(self) -> None:
-        self.links, self.L, self.f = _no_links()
-
     def set_links(self, rows) -> None:
-        """Store (j, l, k, L, f) rows of ints j, l, k; a key given again is replaced.
+        """Replace the table with (j, l, k, L, f) rows of ints j, l, k.
 
-        This is `L[j, l, k], f[j, l, k] = L, f` on (s, s, K) tensors, kept as
-        the canonical table: one row per key, ascending, dropped when both
-        values are 0. Raises ValueError for a key outside the solution.
+        This is `L[j, l, k], f[j, l, k] = L, f` on zeroed (s, s, K) tensors,
+        kept as the canonical table: one row per key (the last row given for
+        a key wins), ascending, dropped when both values are 0. Raises
+        ValueError for a key outside the solution.
         """
         s, K = self.num_sites, self.w.shape[1]
-        cells = dict(zip(
-            map(tuple, self.links.tolist()), zip(self.L.tolist(), self.f.tolist())
-        ))
+        cells = {}
         for j, l, k, L, f in rows:
             if not (0 <= j < s and 0 <= l < s and 0 <= k < K):
                 raise ValueError(f"link {(j, l, k)} outside {s} sites and {K} channels")
@@ -263,9 +259,12 @@ class ConstraintReport:
 
 
 def check_constraints(
-    solution: Solution, instance: PlanningInstance, tol: float = FEAS_TOL
+    solution: Solution, instance: PlanningInstance
 ) -> ConstraintReport:
-    """All fifteen feasibility checks with concrete violating indices."""
+    """All fifteen feasibility checks with concrete violating indices.
+
+    Capacity, flow and throughput comparisons allow FEAS_TOL of rounding.
+    """
     a = coverage_matrix(instance)
     b = connectivity_matrix(instance)
     s, K = instance.num_sites, instance.K
@@ -325,16 +324,16 @@ def check_constraints(
 
     # C9: access capacity
     add("C9", f"assigned traffic within C_max={instance.C_max}",
-        _where(loads > instance.C_max + tol))
+        _where(loads > instance.C_max + FEAS_TOL))
 
     # C10: flow only on established links, within capacity
     caps = np.array(row_capacities(instance, links))
     add("C10", "flow within established link capacity",
-        _rows(links, f > L * caps + tol))
+        _rows(links, f > L * caps + FEAS_TOL))
 
     # C11: demand plus inflow minus outflow equals throughput at every node
     residual = loads + np.bincount(l, f, s) - np.bincount(j, f, s) - F
-    add("C11", "flow conservation at every site", _where(np.abs(residual) > tol))
+    add("C11", "flow conservation at every site", _where(np.abs(residual) > FEAS_TOL))
 
     # C12: every demand site within A established-link hops of a gateway
     # (with no gateway at all, every demand site fails)
@@ -342,14 +341,14 @@ def check_constraints(
     gateways = np.flatnonzero(solution.gateway == 1).tolist()
     hops = bfs_hops_multi(indptr, indices, gateways, s, instance.A)
     bad = [
-        (site,) for site in np.flatnonzero(loads > tol).tolist()
+        (site,) for site in np.flatnonzero(loads > FEAS_TOL).tolist()
         if all(row[site] == UNREACHABLE for row in hops)
     ]
     add("C12", f"demand sites within A={instance.A} hops of a gateway", bad)
 
     # C13: throughput only at gateway-flagged sites
     add("C13", "throughput gated by the gateway flag",
-        _where(F > instance.M * solution.gateway + tol))
+        _where(F > instance.M * solution.gateway + FEAS_TOL))
 
     # C14: every installed node sits on at least two links
     add("C14", "every installed node incident to at least two links",
@@ -363,8 +362,8 @@ def check_constraints(
         for name, arr in binary:
             bad.extend((name, *idx) for idx in _where(arr > 1))
     bad.extend(("L", *idx) for idx in _rows(links, big))
-    bad.extend(("f", *idx) for idx in _rows(links, f < -tol))
-    bad.extend(("F", *idx) for idx in _where(F < -tol))
+    bad.extend(("f", *idx) for idx in _rows(links, f < -FEAS_TOL))
+    bad.extend(("F", *idx) for idx in _where(F < -FEAS_TOL))
     add("C15", "binary and nonnegative variable domains", bad)
 
     return report

@@ -18,7 +18,6 @@ from .construct import (
     REBUILD_FAILURES,
     Outcomes,
     construct_feasible,
-    placement_key,
     rebuild_pipeline,
 )
 from .instance import PlanningInstance
@@ -147,7 +146,8 @@ def mutate_solution(
     mut: float,
     gateway_count: int | None = None,
     retries: int = 8,
-    outcomes: Outcomes | None = None,
+    *,
+    outcomes: Outcomes,
 ) -> Solution:
     """Randomly drop APs and move gateway flags, then rebuild and re-route.
 
@@ -160,9 +160,9 @@ def mutate_solution(
     particle's plan is: an attempt whose ap, relay, gateway and x equal it
     returns it without the rebuild and check, which would reproduce it.
 
-    `outcomes` is passed to `rebuild_pipeline`. The check runs once per
-    stored plan and its verdict is kept in the plan's `Outcome`, so a
-    placement seen before costs neither routing nor the check.
+    `outcomes` holds plans that passed the check. A rebuilt plan that passes
+    is stored there, so `rebuild_pipeline` returns it for the same placement
+    later, and that plan object is returned again without the check.
     """
     for _ in range(retries):
         work = base.copy()
@@ -189,21 +189,14 @@ def mutate_solution(
             rebuilt = rebuild_pipeline(work, instance, rng, gateway_count, outcomes)
         except REBUILD_FAILURES:
             continue
-        if _feasible(rebuilt, instance, outcomes):
+        # Nothing is stored between the lookup in the rebuild and this one,
+        # so the plan is the stored one exactly when the rebuild returned it.
+        if outcomes.lookup(rebuilt) is rebuilt:
+            return rebuilt
+        if check_constraints(rebuilt, instance).feasible:
+            outcomes.store(rebuilt)
             return rebuilt
     return fallback
-
-
-def _feasible(
-    plan: Solution, instance: PlanningInstance, outcomes: Outcomes | None
-) -> bool:
-    """`check_constraints` verdict on a rebuilt plan, run once per stored plan."""
-    outcome = None if outcomes is None else outcomes.get(placement_key(plan))
-    if outcome is None:
-        return check_constraints(plan, instance).feasible
-    if outcome.feasible is None:
-        outcome.feasible = check_constraints(plan, instance).feasible
-    return outcome.feasible
 
 
 def _recombine(
@@ -283,9 +276,9 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
     particle and leaders fixed before the generation, and each candidate is
     offered to the archive as soon as it is evaluated, in particle order.
 
-    The run keeps one `Outcomes` memo for its mutations, bounded by
-    `archive_capacity` (no more plans than the archive may keep), and it
-    reuses a particle's objective vector when mutation returns that
+    The run keeps one `Outcomes` memo of checked plans for its mutations,
+    bounded by `archive_capacity` (no more plans than the archive may keep),
+    and it reuses a particle's objective vector when mutation returns that
     particle's plan object. Neither changes a result: both skip only work
     that is a pure function of inputs already judged.
     """

@@ -134,7 +134,6 @@ def dense_links(solution: Solution):
     L, f = dense(solution)
     yield L, f
     j, l, k = np.nonzero((L != 0) | (f != 0))
-    solution.clear_links()
     solution.set_links(zip(j.tolist(), l.tolist(), k.tolist(),
                            L[j, l, k].tolist(), f[j, l, k].tolist()))
 

@@ -244,6 +244,18 @@ def test_hopeless_instance_refused_before_any_attempt(tmp_path, capsys, monkeypa
     assert "0 within capacity" in err
 
 
+def test_gateway_budget_beyond_installed_nodes_exits_two(tmp_path, capsys):
+    # every attempt fails gateway selection, so construction gives up
+    code = main([
+        "plan", "--grid", "6x6", "--gateways", "40", *FAST, "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert (
+        "no feasible solution in 500 attempts "
+        "(last: gateway count 40 exceeds 36 installed nodes)"
+    ) in capsys.readouterr().err
+
+
 def test_invalid_radio_combo_exits_one(tmp_path):
     code = main([
         "plan", "--grid", "4x4", "--dps", "10", "--channels", "2",

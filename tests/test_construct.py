@@ -1,5 +1,3 @@
-import traceback
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -187,7 +185,7 @@ def test_select_gateways_rejects_bad_counts(standard_instance, rng):
     )
     with pytest.raises(ValueError):
         select_gateways(sol, standard_instance, rng, count=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(GatewayBudgetError):
         select_gateways(sol, standard_instance, rng, count=int(sol.z.sum()) + 1)
 
 
@@ -321,7 +319,8 @@ def test_rebuild_pipeline_output_is_a_fixed_point(case):
     plans = [plan]
     for mut in (0.3, 0.6, 1.0):
         mutated = mopso.mutate_solution(
-            plan, plan, inst, rng, mut, gateway_count, retries=4
+            plan, plan, inst, rng, mut, gateway_count, retries=4,
+            outcomes=Outcomes(4),
         )
         if mutated is not plan:
             plans.append(mutated)
@@ -348,7 +347,8 @@ def test_pipeline_value_error_propagates(standard_instance, rng, monkeypatch):
     with pytest.raises(ValueError, match="bug in a pipeline step"):
         construct_feasible(standard_instance, rng, max_retries=3)
     with pytest.raises(ValueError, match="bug in a pipeline step"):
-        mopso.mutate_solution(plan, plan, standard_instance, rng, mut=1.0)
+        mopso.mutate_solution(plan, plan, standard_instance, rng, mut=1.0,
+                              outcomes=Outcomes(8))
 
 
 def test_gateway_budget_is_retried(standard_instance, rng):
@@ -362,13 +362,12 @@ def test_gateway_budget_is_retried(standard_instance, rng):
     assert "exceeds" in str(err.value)
     out = mopso.mutate_solution(
         plan, plan, standard_instance, rng, mut=1.0, gateway_count=too_many,
-        retries=3,
+        retries=3, outcomes=Outcomes(8),
     )
     assert out is plan
-    assert issubclass(GatewayBudgetError, ValueError)  # CLI exit code 1 kept
 
 
-def test_memo_replays_a_routing_failure_without_its_traceback(monkeypatch):
+def test_memo_keeps_no_routing_failure(monkeypatch):
     # the square's demand site 0 reaches gateway 3 only over links of
     # capacity 1, short of its 2 Mb/s
     inst = make_square_instance(
@@ -380,25 +379,18 @@ def test_memo_replays_a_routing_failure_without_its_traceback(monkeypatch):
     partial.ap[0] = partial.x[0, 0] = 1
     partial.relay[3] = partial.gateway[3] = 1
     outcomes = Outcomes(2)
-    with pytest.raises(RoutingInfeasibleError) as first:
-        rebuild_pipeline(partial.copy(), inst, np.random.default_rng(0), None, outcomes)
+    routed = []
+    real = construct.route_flows
 
-    def forbidden(*args):
-        raise AssertionError("a stored placement was routed again")
+    def route(*args):
+        routed.append(args[0])
+        return real(*args)
 
-    monkeypatch.setattr(construct, "route_flows", forbidden)
-    with pytest.raises(RoutingInfeasibleError) as again:
-        rebuild_pipeline(partial.copy(), inst, np.random.default_rng(0), None, outcomes)
+    monkeypatch.setattr(construct, "route_flows", route)
     message = "site 0: every path within 3 hops blocked by link capacity"
-    assert str(first.value) == str(again.value) == message
-    assert first.value.site == again.value.site == 0
-    assert again.value is not first.value
-    assert again.value.__context__ is None and again.value.__cause__ is None
-    frames = [f.name for f in traceback.extract_tb(again.value.__traceback__)]
-    assert "route_flows" not in frames
-    assert "route_flows" in [
-        f.name for f in traceback.extract_tb(first.value.__traceback__)
-    ]
-    (outcome,) = outcomes.values()
-    assert outcome.plan is None
-    assert outcome.failure == (RoutingInfeasibleError, (0, message[len("site 0: "):]))
+    for _ in range(2):
+        with pytest.raises(RoutingInfeasibleError, match=message):
+            rebuild_pipeline(partial.copy(), inst, np.random.default_rng(0),
+                             None, outcomes)
+        assert len(outcomes) == 0
+    assert len(routed) == 2

@@ -2,9 +2,9 @@
 
 `Solution` stores links and flows as a sorted table. These tests hold it to
 the dense tensors it replaces: `set_links` must act like index assignment on
-them, and `check_constraints` must report exactly the violations of the dense
-checks below, which are the tensor form of C3-C7 and C10-C15 kept as the
-reference.
+zeroed tensors, and `check_constraints` must report exactly the violations
+of the dense checks below, which are the tensor form of C3-C7 and C10-C15
+kept as the reference.
 
 The table sums a node's flows in row order while the dense reference sums in
 numpy's pairwise order, so with arbitrary floats the two C11 residuals can
@@ -206,9 +206,10 @@ def test_set_links_is_dense_assignment(data):
     s = data.draw(st.integers(1, 5))
     K = data.draw(st.integers(1, 3))
     sol = Solution.empty(_grid(1, s, K, 1, (), ()))
-    L = np.zeros((s, s, K), dtype=np.uint8)
-    f = np.zeros((s, s, K), dtype=np.float64)
     for _ in range(data.draw(st.integers(1, 4))):
+        # each call replaces the table left by the one before
+        L = np.zeros((s, s, K), dtype=np.uint8)
+        f = np.zeros((s, s, K), dtype=np.float64)
         keys = _keys(data.draw, s, K, 6)
         L_values = [data.draw(st.integers(0, 2)) for _ in keys]
         f_values = [data.draw(st.sampled_from(FLOWS + [0.0])) for _ in keys]

@@ -19,9 +19,15 @@ from meshplan.construct import (
     ConstructionInfeasibleError,
     Outcomes,
     construct_feasible,
-    placement_key,
 )
-from meshplan.model import Solution, check_constraints, dominates, evaluate
+from meshplan.model import (
+    ConstraintCheck,
+    ConstraintReport,
+    Solution,
+    check_constraints,
+    dominates,
+    evaluate,
+)
 from meshplan.mopso import (
     MopsoConfig,
     ParetoArchive,
@@ -114,7 +120,8 @@ def test_mutation_zero_rate_keeps_feasibility(standard_instance, rng):
 
     base = construct_feasible(standard_instance, rng)
     out = mutate_solution(
-        base, base, standard_instance, np.random.default_rng(0), mut=0.0
+        base, base, standard_instance, np.random.default_rng(0), mut=0.0,
+        outcomes=Outcomes(8),
     )
     assert_feasible(out, standard_instance)
     assert np.array_equal(out.ap, base.ap)
@@ -126,7 +133,8 @@ def test_mutation_full_rate_changes_plan(standard_instance, rng):
 
     base = construct_feasible(standard_instance, rng)
     out = mutate_solution(
-        base, base, standard_instance, np.random.default_rng(0), mut=1.0
+        base, base, standard_instance, np.random.default_rng(0), mut=1.0,
+        outcomes=Outcomes(8),
     )
     feas = check_constraints(out, standard_instance).feasible
     assert feas
@@ -153,7 +161,8 @@ def test_mutation_falls_back_past_backbone_failure(monkeypatch):
 
     monkeypatch.setattr(mopso, "rebuild_pipeline", rebuild)
     out = mutate_solution(
-        base, fallback, inst, np.random.default_rng(0), mut=0.0, retries=3
+        base, fallback, inst, np.random.default_rng(0), mut=0.0, retries=3,
+        outcomes=Outcomes(8),
     )
     assert out is fallback
     assert len(failures) == 3
@@ -169,7 +178,8 @@ def test_mutation_unchanged_plan_returns_parent(standard_instance, rng, monkeypa
 
     monkeypatch.setattr(mopso, "rebuild_pipeline", rebuild)
     out = mutate_solution(
-        plan, plan, standard_instance, np.random.default_rng(0), mut=0.0
+        plan, plan, standard_instance, np.random.default_rng(0), mut=0.0,
+        outcomes=Outcomes(8),
     )
     assert out is plan
 
@@ -191,7 +201,8 @@ def test_mutation_rebuilds_recombined_base(standard_instance, rng, monkeypatch):
         return rebuilt[-1]
 
     monkeypatch.setattr(mopso, "rebuild_pipeline", rebuild)
-    out = mutate_solution(base, plan, standard_instance, child_rng, mut=0.0)
+    out = mutate_solution(base, plan, standard_instance, child_rng, mut=0.0,
+                          outcomes=Outcomes(8))
     assert rebuilt and out is rebuilt[-1]
     assert_feasible(out, standard_instance)
 
@@ -351,11 +362,17 @@ def test_outcome_memo_holds_at_most_archive_capacity(verify2x3_instance):
     assert max(sizes) == 3
 
 
-def test_outcomes_drop_the_oldest_entry_first():
+def test_outcomes_drop_the_oldest_entry_first(verify2x3_instance):
+    plans = []
+    for gateway in range(3):  # three placements that differ in one flag
+        plan = Solution.empty(verify2x3_instance)
+        plan.gateway[gateway] = 1
+        plans.append(plan)
     outcomes = Outcomes(2)
-    for key in (b"a", b"b", b"c"):
-        outcomes.store(key, construct.Outcome(feasible=True))
-    assert list(outcomes) == [b"b", b"c"]
+    for plan in plans:
+        outcomes.store(plan)
+    assert outcomes.lookup(plans[0]) is None
+    assert all(outcomes.lookup(plan) is plan for plan in plans[1:])
 
 
 def _memo_hit(instance, monkeypatch):
@@ -366,7 +383,7 @@ def _memo_hit(instance, monkeypatch):
     first = mutate_solution(plan, empty, instance, np.random.default_rng(1), 0.0,
                             outcomes=outcomes)
     assert first is not empty
-    assert outcomes[placement_key(plan)].plan is first
+    assert outcomes.lookup(plan) is first
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a stored placement was routed or checked again")
@@ -384,6 +401,26 @@ def test_memo_hit_skips_routing_and_the_check(verify2x3_instance, monkeypatch):
     plan, first, second = _memo_hit(verify2x3_instance, monkeypatch)
     assert second is first
     _same_plan(first, plan)  # a pipeline output rebuilds to itself
+
+
+def test_plan_failing_the_check_is_not_stored(verify2x3_instance, monkeypatch):
+    plan = construct_feasible(verify2x3_instance, np.random.default_rng(0))
+    empty = Solution.empty(verify2x3_instance)  # a fallback no attempt can equal
+    checked = []
+
+    def failing(solution, instance):
+        checked.append(solution)
+        return ConstraintReport([ConstraintCheck("C1", "stub", False, [(0,)])])
+
+    monkeypatch.setattr(mopso, "check_constraints", failing)
+    outcomes = Outcomes(4)
+    out = mutate_solution(plan, empty, verify2x3_instance,
+                          np.random.default_rng(1), 0.0, retries=2,
+                          outcomes=outcomes)
+    assert out is empty
+    assert len(outcomes) == 0
+    # the second attempt, at the same placement, is routed and checked again
+    assert len(checked) == 2 and checked[0] is not checked[1]
 
 
 def test_stored_plans_are_read_only(verify2x3_instance, monkeypatch):
