@@ -88,115 +88,93 @@ def route_flows(
     low-to-high canonical direction). Raises RoutingInfeasibleError when some
     demand site has no admissible path.
     """
-    s = instance.num_sites
-    A = instance.A
+    s, A = instance.num_sites, instance.A
     out = solution.copy()
     loads = out.site_loads(instance)
 
-    # Undirected link inventory: (u, v) with u < v -> sorted channel list, and
-    # the capacity of each (u, v, k) (capacities are symmetric in u and v).
+    # Link rows: undirected (u, v, k) with u < v, ascending (a link stored in
+    # both directions is one row), each with a capacity, a sender (None while
+    # idle) and a flow; pair_rows maps a site pair to its rows, lowest k first.
     live = out.links[out.L == 1]
-    js, ls, ks = live.T.tolist()
-    link_caps = row_capacities(instance, live)
-    channels: dict[tuple[int, int], list[int]] = {}
-    cap: dict[tuple[int, int, int], float] = {}
-    for j, l, k, c in zip(js, ls, ks, link_caps):
-        u, v = (j, l) if j < l else (l, j)
-        channels.setdefault((u, v), []).append(k)
-        cap[(u, v, k)] = c
-    for key in channels:
-        channels[key].sort()
+    caps = {}
+    for (j, l, k), c in zip(live.tolist(), row_capacities(instance, live)):
+        caps[(j, l, k) if j < l else (l, j, k)] = c
+    keys = sorted(caps)
+    cap = [caps[key] for key in keys]
+    sender = [None] * len(keys)
+    flow = [0.0] * len(keys)
+    pair_rows: dict[tuple[int, int], list[int]] = {}
+    for r, (u, v, _) in enumerate(keys):
+        pair_rows.setdefault((u, v), []).append(r)
 
-    indptr, indices = adjacency_csr(s, js, ls)
+    def graph(pairs):
+        return adjacency_csr(s, [u for u, _ in pairs], [v for _, v in pairs])
 
+    indptr, indices = graph(pair_rows)
     demand_sites = np.flatnonzero(loads > FEAS_TOL).tolist()
     gateways = np.flatnonzero(out.gateway == 1).tolist()
-    flow_dir: dict[tuple[int, int, int], tuple[int, int]] = {}
-    flow_amt: dict[tuple[int, int, int], float] = {}
     throughput = [0.0] * s
     traces: list[RoutingTrace] = []
 
     if demand_sites and not gateways:
         raise RoutingInfeasibleError(demand_sites[0], "no gateway selected")
 
-    gw_hops = bfs_hops_multi(indptr, indices, gateways, s, A)
+    hops = dict(zip(gateways, bfs_hops_multi(indptr, indices, gateways, s, A)))
 
-    def admissible_channel(u: int, v: int, demand: float):
-        """Lowest channel on link u-v that can carry demand in direction u->v."""
-        lo, hi = (u, v) if u < v else (v, u)
-        for k in channels[(lo, hi)]:
-            key = (lo, hi, k)
-            direction = flow_dir.get(key)
-            if direction is not None and direction != (u, v):
-                continue
-            if flow_amt.get(key, 0.0) + demand <= cap[key] + FEAS_TOL:
-                return k
+    def lowest_row(u: int, v: int, demand: float):
+        """Row of the lowest channel on link u-v that can carry demand u->v."""
+        for r in pair_rows[(u, v) if u < v else (v, u)]:
+            if sender[r] in (None, u) and flow[r] + demand <= cap[r] + FEAS_TOL:
+                return r
         return None
 
-    def try_commit(path, demand):
-        """Check every step of the path; commit if clean, else return bad edge."""
-        picks = []
-        for u, v in zip(path, path[1:]):
-            k = admissible_channel(u, v, demand)
-            if k is None:
-                return (u, v)
-            picks.append((u, v, k))
-        for u, v, k in picks:
-            key = (min(u, v), max(u, v), k)
-            flow_dir[key] = (u, v)
-            flow_amt[key] = flow_amt.get(key, 0.0) + demand
+    def route_to(site: int, gw: int, demand: float):
+        """Commit demand on a path from site to gw, or None if all are blocked;
+        each blocked try drops its first full site pair from the next search."""
+        dist, dropped, csr = hops[gw], set(), (indptr, indices)
+        for _ in range(MAX_PATH_TRIES):
+            if dist[site] == UNREACHABLE:
+                return None
+            path = _lex_shortest_path(*csr, dist, site, gw)
+            picks = []
+            for u, v in zip(path, path[1:]):
+                r = lowest_row(u, v, demand)
+                if r is None:
+                    break
+                picks.append((u, r))
+            else:
+                for u, r in picks:
+                    sender[r] = u
+                    flow[r] += demand
+                return path
+            dropped.add((min(u, v), max(u, v)))
+            csr = graph([p for p in pair_rows if p not in dropped])
+            dist = bfs_hops(*csr, gw, s, A)
         return None
 
     for site in demand_sites:
         demand = float(loads[site])
         # Hop rows are bounded at A: farther gateways read UNREACHABLE.
         order = sorted(
-            (row[site], gw)
-            for row, gw in zip(gw_hops, gateways)
-            if row[site] != UNREACHABLE
+            (hops[gw][site], gw) for gw in gateways if hops[gw][site] != UNREACHABLE
         )
         if not order:
             raise RoutingInfeasibleError(site, f"no gateway within {A} hops")
-        routed = False
-        for base_hops, gw in order:
-            if base_hops == 0:
-                throughput[site] += demand
-                traces.append(RoutingTrace(site, gw, [site], demand))
-                routed = True
+        for _, gw in order:
+            path = route_to(site, gw, demand)
+            if path is not None:
                 break
-            dropped = set()
-            cur_indptr, cur_indices = indptr, indices
-            dist = gw_hops[gateways.index(gw)]
-            for _ in range(MAX_PATH_TRIES):
-                if dist[site] == UNREACHABLE:
-                    break
-                path = _lex_shortest_path(cur_indptr, cur_indices, dist, site, gw)
-                bad = try_commit(path, demand)
-                if bad is None:
-                    throughput[gw] += demand
-                    traces.append(RoutingTrace(site, gw, path, demand))
-                    routed = True
-                    break
-                dropped.add((min(bad), max(bad)))
-                live = [pair for pair in channels if pair not in dropped]
-                cur_indptr, cur_indices = adjacency_csr(
-                    s, [u for u, _ in live], [v for _, v in live]
-                )
-                dist = bfs_hops(cur_indptr, cur_indices, gw, s, A)
-            if routed:
-                break
-        if not routed:
+        else:
             raise RoutingInfeasibleError(
                 site, f"every path within {A} hops blocked by link capacity"
             )
+        throughput[gw] += demand
+        traces.append(RoutingTrace(site, gw, path, demand))
 
-    # Re-emit links and flows with final directions.
-    rows = []
-    for (u, v), link_channels in channels.items():
-        for k in link_channels:
-            key = (u, v, k)
-            a, b = flow_dir.get(key, (u, v))
-            rows.append((a, b, k, 1, flow_amt.get(key, 0.0)))
-    out.set_links(rows)
+    # One row per link, stored in its flow direction.
+    out.set_links(
+        (v, u, k, 1, f) if snd == v else (u, v, k, 1, f)
+        for (u, v, k), snd, f in zip(keys, sender, flow)
+    )
     out.F = np.array(throughput, dtype=np.float64)
     return out, traces

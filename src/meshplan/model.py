@@ -61,10 +61,6 @@ def _rows(links: np.ndarray, mask: np.ndarray) -> list:
     return [tuple(row) for row in links[mask].tolist()]
 
 
-def _no_links():
-    return np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.uint8), np.zeros(0)
-
-
 @dataclass
 class Solution:
     """One deployment plan: roles, DP assignment, channels, links, flows.
@@ -90,18 +86,23 @@ class Solution:
     F: np.ndarray         # (s,) float64
 
     @classmethod
-    def empty(cls, instance: PlanningInstance) -> "Solution":
-        s, n, K = instance.num_sites, instance.num_dps, instance.K
-        links, L, f = _no_links()
+    def zeros(cls, s: int, n: int, K: int) -> "Solution":
+        """The all-zero plan over s sites, n demand points and K channels."""
         return cls(
             ap=np.zeros(s, dtype=np.uint8),
             relay=np.zeros(s, dtype=np.uint8),
             gateway=np.zeros(s, dtype=np.uint8),
             x=np.zeros((n, s), dtype=np.uint8),
             w=np.zeros((s, K), dtype=np.uint8),
-            links=links, L=L, f=f,
+            links=np.zeros((0, 3), dtype=np.int64),
+            L=np.zeros(0, dtype=np.uint8),
+            f=np.zeros(0, dtype=np.float64),
             F=np.zeros(s, dtype=np.float64),
         )
+
+    @classmethod
+    def empty(cls, instance: PlanningInstance) -> "Solution":
+        return cls.zeros(instance.num_sites, instance.num_dps, instance.K)
 
     @property
     def z(self) -> np.ndarray:
@@ -412,16 +413,7 @@ def solution_from_dict(data: dict) -> Solution:
         s = int(data["sites"])
         n = int(data["demand_points"])
         K = int(data["channels"])
-        links, L, f = _no_links()
-        sol = Solution(
-            ap=np.zeros(s, dtype=np.uint8),
-            relay=np.zeros(s, dtype=np.uint8),
-            gateway=np.zeros(s, dtype=np.uint8),
-            x=np.zeros((n, s), dtype=np.uint8),
-            w=np.zeros((s, K), dtype=np.uint8),
-            links=links, L=L, f=f,
-            F=np.zeros(s, dtype=np.float64),
-        )
+        sol = Solution.zeros(s, n, K)
         for name in ("ap", "relay", "gateway"):
             for j in data[name]:
                 getattr(sol, name)[_index([j], (s,), name)] = 1
@@ -436,11 +428,12 @@ def solution_from_dict(data: dict) -> Solution:
         )
         for j, value in data["F"]:
             sol.F[_index([j], (s,), "F")] = value
+        installed = sorted(data["z"])
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         if isinstance(exc, SolutionFormatError):
             raise
         raise SolutionFormatError(f"malformed solution data: {exc}") from exc
-    if sorted(data["z"]) != [int(v) for v in np.flatnonzero(sol.z)]:
+    if installed != [int(v) for v in np.flatnonzero(sol.z)]:
         raise SolutionFormatError("installed-site list disagrees with roles")
     if np.any(sol.ap & sol.relay):
         raise SolutionFormatError("a site cannot be both access point and relay")

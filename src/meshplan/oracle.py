@@ -47,10 +47,6 @@ class GuardError(Exception):
     """Instance too large for exhaustive enumeration."""
 
 
-class EnumerationLimitError(Exception):
-    """Candidate count exceeded the caller's cap."""
-
-
 def _check_guard(instance: PlanningInstance) -> None:
     if (
         instance.num_sites > GUARD_SITES
@@ -224,35 +220,20 @@ def enumerate_feasible(
     instance: PlanningInstance,
     variant: str = "lglb",
     policy_matched: bool = True,
-    limit: int = 10_000_000,
     coverage_mode: str = "assigned",
 ):
     """Yield every feasible (solution, objective vector), exhaustively.
 
     Yields one plan per channel relabeling class, which has the same
     feasibility and objective vector as every other plan in it; an instance
-    with capacity overrides yields every labeling. `limit` caps the number
-    of representative candidates submitted to routing and the constraint
-    checker; exceeding it raises EnumerationLimitError.
+    with capacity overrides yields every labeling.
     """
     _check_guard(instance)
     variant = parse_variant(variant)
+    candidates = _policy_candidates if policy_matched else _raw_candidates
     a = coverage_matrix(instance)
     b = connectivity_matrix(instance)
-    count = 0
-
-    def candidates():
-        if policy_matched:
-            yield from _policy_candidates(instance, a, b)
-        else:
-            yield from _raw_candidates(instance, a, b)
-
-    for sol in candidates():
-        count += 1
-        if count > limit:
-            raise EnumerationLimitError(
-                f"enumeration exceeded the cap of {limit} candidates"
-            )
+    for sol in candidates(instance, a, b):
         try:
             routed, _ = route_flows(sol, instance)
         except RoutingInfeasibleError:
@@ -309,7 +290,6 @@ def true_pareto_front(
     instance: PlanningInstance,
     variant: str = "lglb",
     policy_matched: bool = True,
-    limit: int = 10_000_000,
     coverage_mode: str = "assigned",
 ) -> list:
     """Deduplicated non-dominated objective vectors, sorted lexicographically.
@@ -321,7 +301,7 @@ def true_pareto_front(
     vectors = {
         tuple(float(x) for x in vec)
         for _, vec in enumerate_feasible(
-            instance, variant, policy_matched, limit, coverage_mode
+            instance, variant, policy_matched, coverage_mode
         )
     }
     if not vectors:

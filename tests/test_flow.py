@@ -222,6 +222,40 @@ def test_shared_link_accumulates_flow():
     assert_flow_conserved(routed, inst)
 
 
+def test_full_channel_spills_onto_next_channel_of_same_pair():
+    inst = make_line_instance(
+        3, dp_sites=(0, 1), R=3, K=3, capacity_overrides=((1, 2, 0, 3.0),)
+    )
+    sol = Solution.empty(inst)
+    sol.ap[:2] = 1
+    sol.relay[2] = 1
+    sol.gateway[2] = 1
+    sol.x = np.eye(2, 3, dtype=np.uint8)
+    sol.set_links([(0, 1, 2, 1, 0.0), (1, 2, 0, 1, 0.0), (1, 2, 1, 1, 0.0)])
+    routed, traces = route_flows(sol, inst)
+    # the first 2.0 leaves channel 0 too full for the second, which takes
+    # channel 1 of the same pair
+    assert [t.path for t in traces] == [[0, 1, 2], [1, 2]]
+    _, f = dense(routed)
+    assert f[1, 2, 0] == pytest.approx(2.0)
+    assert f[1, 2, 1] == pytest.approx(2.0)
+    assert_flow_conserved(routed, inst)
+
+
+def test_link_stored_in_both_directions_routes_as_one():
+    inst = make_line_instance(2, A=1)
+    sol = Solution.empty(inst)
+    sol.ap[0] = 1
+    sol.relay[1] = 1
+    sol.gateway[1] = 1
+    sol.x[0, 0] = 1
+    sol.set_links([(0, 1, 0, 1, 0.0), (1, 0, 0, 1, 0.0)])
+    routed, _ = route_flows(sol, inst)
+    assert routed.link_list() == [(0, 1, 0)]
+    assert routed.f.tolist() == [2.0]
+    assert_flow_conserved(routed, inst)
+
+
 def test_traces_serialize_to_json():
     inst = make_line_instance(3)
     routed, traces = route_flows(_line_solution(inst, 2), inst)

@@ -405,3 +405,14 @@ def test_solution_from_dict_rejects_out_of_range_indices(feasible, key, entry):
     data[key].append(entry)
     with pytest.raises(SolutionFormatError, match="out of range"):
         solution_from_dict(data)
+
+
+@pytest.mark.parametrize("z", [None, 5])
+def test_solution_from_dict_rejects_malformed_installed_list(feasible, z):
+    data = solution_to_dict(feasible)
+    if z is None:
+        del data["z"]
+    else:
+        data["z"] = z
+    with pytest.raises(SolutionFormatError, match="malformed solution data"):
+        solution_from_dict(data)

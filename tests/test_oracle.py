@@ -13,7 +13,6 @@ from meshplan.instance import PlanningInstance, RadioParams, build_grid_instance
 from meshplan.kernels import pareto_mask
 from meshplan.model import evaluate
 from meshplan.oracle import (
-    EnumerationLimitError,
     GuardError,
     enumerate_feasible,
     true_pareto_front,
@@ -206,11 +205,6 @@ def test_guard_refuses_large_instances():
     )
     with pytest.raises(GuardError):
         list(enumerate_feasible(many_dps))
-
-
-def test_enumeration_limit(toy_instance):
-    with pytest.raises(EnumerationLimitError):
-        list(enumerate_feasible(toy_instance, limit=3))
 
 
 def test_front_is_mutually_nondominated(toy_instance):
