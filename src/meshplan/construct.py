@@ -44,6 +44,25 @@ REBUILD_FAILURES = (
 )
 
 
+def _nonzero_rows(matrix: np.ndarray) -> tuple:
+    """Ascending column indices of each row's nonzero entries, as tuples."""
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in matrix)
+
+
+def site_lists(instance: PlanningInstance) -> tuple:
+    """(DPs covered by each site, sites covering each DP, neighbors of each site).
+
+    Ascending tuples read from the matrices, built on first use and kept
+    beside them in the instance's cache; no caller changes them.
+    """
+    if "site_lists" not in instance._cache:
+        a = coverage_matrix(instance)
+        instance._cache["site_lists"] = tuple(
+            map(_nonzero_rows, (a.T, a, connectivity_matrix(instance)))
+        )
+    return instance._cache["site_lists"]
+
+
 def place_access_points(
     partial: Solution, instance: PlanningInstance, rng: np.random.Generator
 ) -> Solution:
@@ -54,39 +73,53 @@ def place_access_points(
     relay sites convert to APs) and assigns covered DPs in increasing index
     order while capacity lasts. DPs whose covering sites are all full or
     nonexistent stay unassigned.
+
+    A DP fits a site it covers while unassigned and within the site's
+    `limit`: C_max - load for an AP and C_max otherwise at the start,
+    C_max - load once picked. `count` holds the fitting DPs per site; a
+    round changes it only for the DPs it assigns and the picked site.
     """
-    covers = coverage_matrix(instance) == 1
-    traffic = instance.dp_traffic
-    traffic_list = traffic.tolist()
-    loads = partial.site_loads(instance)
-    unassigned = partial.x.sum(axis=1) == 0
-    remaining = np.where(partial.ap == 1, instance.C_max - loads, instance.C_max)
-    fits = covers & unassigned[:, None] & (
-        traffic[:, None] <= remaining[None, :] + FEAS_TOL
-    )
+    dps_of, sites_of, _ = site_lists(instance)
+    traffic = instance.dp_traffic.tolist()
+    c_max = instance.C_max
+    loads = partial.site_loads(instance).tolist()
+    free = partial.x.sum(axis=1) == 0
+    unassigned = free.tolist()
+    limit = [
+        (c_max - load if ap == 1 else c_max) + FEAS_TOL
+        for ap, load in zip(partial.ap.tolist(), loads)
+    ]
+    count = [0] * len(limit)
+    for i in np.flatnonzero(free).tolist():
+        for j in sites_of[i]:
+            count[j] += traffic[i] <= limit[j]
+    picks, rows, cols = [], [], []
     while True:
-        candidates = np.flatnonzero(fits.any(axis=0))
-        if len(candidates) == 0:
+        candidates = [j for j, fit in enumerate(count) if fit]
+        if not candidates:
             break
-        pick = int(candidates[rng.integers(len(candidates))])
-        partial.relay[pick] = 0
-        partial.ap[pick] = 1
-        load = float(loads[pick])
-        budget = instance.C_max - load
-        assigned = []
-        for i in np.flatnonzero(fits[:, pick]).tolist():
-            if traffic_list[i] <= budget + FEAS_TOL:
-                assigned.append(i)
-                budget -= traffic_list[i]
-                load += traffic_list[i]
-        partial.x[assigned, pick] = 1
+        pick = candidates[rng.integers(len(candidates))]
+        picks.append(pick)
+        load = loads[pick]
+        budget = c_max - load
+        taken = []
+        for i in dps_of[pick]:  # within the budget is within limit[pick]
+            t = traffic[i]
+            if unassigned[i] and t <= budget + FEAS_TOL:
+                unassigned[i] = False
+                taken.append(i)
+                budget -= t
+                load += t
+                for j in sites_of[i]:
+                    count[j] -= t <= limit[j]
         loads[pick] = load
-        unassigned[assigned] = False
-        # Only the pick's remaining capacity and the assigned DPs changed.
-        fits[assigned, :] = False
-        fits[:, pick] = covers[:, pick] & unassigned & (
-            traffic <= instance.C_max - load + FEAS_TOL
-        )
+        lim = limit[pick] = c_max - load + FEAS_TOL
+        count[pick] = sum(unassigned[i] and traffic[i] <= lim for i in dps_of[pick])
+        rows += taken
+        cols += [pick] * len(taken)
+    partial.relay[picks] = 0
+    partial.ap[picks] = 1
+    partial.x[rows, cols] = 1
     return partial
 
 
@@ -149,29 +182,17 @@ def connect_backbone(partial: Solution, instance: PlanningInstance) -> Solution:
     spare neighbors until it has at least two installed neighbors. Leaves
     already-valid solutions untouched.
     """
-    b = connectivity_matrix(instance)
     z = partial.z.tolist()
     if not any(z):
         return partial
-    nbrs = [[] for _ in z]  # ascending neighbor lists of the connectivity graph
-    for u, v in zip(*(axis.tolist() for axis in np.nonzero(b))):
-        nbrs[u].append(v)
-
-    def install_relay(v):
-        partial.relay[v] = 1
-        z[v] = 1
-
+    nbrs = site_lists(instance)[2]
     while True:
-        comps = _components(z, nbrs)
+        comps = _components(z, nbrs)  # by smallest member, ascending
         if len(comps) <= 1:
             break
-        comps.sort(key=lambda c: c[0])
-        rest = set()
-        for comp in comps[1:]:
-            rest.update(comp)
-        for v in _shortest_join(comps[0], rest, nbrs):
+        for v in _shortest_join(comps[0], set().union(*comps[1:]), nbrs):
             if not z[v]:
-                install_relay(v)
+                partial.relay[v] = z[v] = 1
     while True:
         deficient = [
             v for v in range(len(z))
@@ -186,7 +207,7 @@ def connect_backbone(partial: Solution, instance: PlanningInstance) -> Solution:
                 if need <= 0:
                     break
                 if not z[nb]:
-                    install_relay(nb)
+                    partial.relay[nb] = z[nb] = 1
                     need -= 1
                     progressed = True
         if not progressed:
@@ -233,35 +254,32 @@ def assign_channels(partial: Solution, instance: PlanningInstance) -> Solution:
     unused channel (lowest wins); the result is a proper edge coloring.
     Raises ChannelAssignmentError if an installed node ends under-linked.
     """
-    b = connectivity_matrix(instance)
-    installed = np.flatnonzero(partial.z == 1)
-    sites = installed.tolist()
-    rows, cols = np.nonzero(b[installed[:, None], installed])
-    degree = {j: 0 for j in sites}
-    used = {j: set() for j in sites}
+    R, K = instance.R, instance.K
+    nbrs = site_lists(instance)[2]
+    z = (partial.z == 1).tolist()
+    sites = [j for j, on in enumerate(z) if on]
+    degree = [0] * len(z)
+    used = [0] * len(z)  # bit k set: channel k taken at the site
     heads, tails, chans = [], [], []
     # Connected installed pairs in increasing (j, l) order, j < l.
-    for p, q in zip(rows.tolist(), cols.tolist()):
-        if q <= p:
-            continue
-        j, l = sites[p], sites[q]
-        if degree[j] >= instance.R or degree[l] >= instance.R:
-            continue
-        for k in range(instance.K):
-            if k in used[j] or k in used[l]:
+    for j in sites:
+        for l in nbrs[j]:
+            if l <= j or not z[l] or degree[j] >= R or degree[l] >= R:
                 continue
-            heads.append(j)
-            tails.append(l)
-            chans.append(k)
-            degree[j] += 1
-            degree[l] += 1
-            used[j].add(k)
-            used[l].add(k)
-            break
+            taken = used[j] | used[l]
+            k = (~taken & (taken + 1)).bit_length() - 1  # lowest free at both
+            if k < K:
+                heads.append(j)
+                tails.append(l)
+                chans.append(k)
+                degree[j] += 1
+                degree[l] += 1
+                used[j] |= 1 << k
+                used[l] |= 1 << k
     partial.set_links((j, l, k, 1, 0.0) for j, l, k in zip(heads, tails, chans))
     partial.w[heads, chans] = 1
     partial.w[tails, chans] = 1
-    lonely = [j for j in degree if degree[j] < 2]
+    lonely = [j for j in sites if degree[j] < 2]
     if lonely:
         raise ChannelAssignmentError(
             f"nodes left with fewer than two links: {lonely}"
@@ -347,13 +365,19 @@ def construct_feasible(
 ) -> Solution:
     """Build a solution passing every constraint, retrying with fresh draws.
 
-    An instance where no demand point is both covered by a site and within
-    the site capacity is refused before any attempt: on an empty plan
-    `place_access_points` would install nothing, so every attempt would
+    Hopeless instances are refused before any attempt. With R < 2 a node
+    may carry at most R links (C3), but each installed node needs two (C14).
+    Where no demand point is both covered by a site and within the site
+    capacity, `place_access_points` installs nothing, so every attempt would
     fail at gateway selection.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be >= 1")
+    if instance.R < 2:
+        raise ConstructionInfeasibleError(
+            f"a node may carry at most R={instance.R} link (C3), but every "
+            "installed node needs two (C14)"
+        )
     covered = coverage_matrix(instance).any(axis=1)
     fits = instance.dp_traffic <= instance.C_max + FEAS_TOL
     if not (covered & fits).any():

@@ -1,3 +1,4 @@
+import dataclasses
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -59,6 +60,26 @@ def planning_cases(draw):
         random_matrix_density=draw(st.sampled_from([None, None, 0.5, 0.75, 1.0])),
     )
     return inst, draw(st.sampled_from([None, 1, 2, 3])), draw(st.integers(0, 999))
+
+
+@st.composite
+def mixed_traffic_cases(draw):
+    """Like `planning_cases`, with each DP's traffic drawn from a few values.
+
+    Grid instances give every DP the same traffic; access point placement
+    counts, per site, the DPs whose own traffic still fits, so it needs
+    instances where that differs from DP to DP. Some values exceed the
+    smallest capacity, so some DPs fit no site.
+    """
+    inst, gateway_count, seed = draw(planning_cases())
+    traffic = np.array(draw(st.lists(
+        st.sampled_from([0.1, 0.7, 2.0, 4.5, 7.0]),
+        min_size=inst.num_dps, max_size=inst.num_dps,
+    )))
+    inst = dataclasses.replace(
+        inst, dp_traffic=traffic, M=inst.num_dps * float(traffic.max()), _cache={},
+    )
+    return inst, gateway_count, seed
 
 
 @pytest.fixture

@@ -244,6 +244,22 @@ def test_hopeless_instance_refused_before_any_attempt(tmp_path, capsys, monkeypa
     assert "0 within capacity" in err
 
 
+def test_single_radio_refused_before_any_attempt(tmp_path, capsys, monkeypatch):
+    # one radio allows one link per node (C3), but C14 needs two
+    def rebuild(*args, **kwargs):
+        raise AssertionError("a construction attempt ran")
+
+    monkeypatch.setattr(construct, "rebuild_pipeline", rebuild)
+    code = main([
+        "plan", "--grid", "6x6", "--dps", "200", "--radios", "1",
+        "--channels", "1", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "at most R=1 link (C3), but every installed node needs two (C14)" in err
+    assert "attempts" not in err
+
+
 def test_gateway_budget_beyond_installed_nodes_exits_two(tmp_path, capsys):
     # every attempt fails gateway selection, so construction gives up
     code = main([

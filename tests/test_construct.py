@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from meshplan import construct, mopso
 from conftest import (
@@ -10,6 +11,7 @@ from conftest import (
     dense_links,
     make_line_instance,
     make_square_instance,
+    mixed_traffic_cases,
     planning_cases,
 )
 from meshplan.construct import (
@@ -305,7 +307,7 @@ def test_construct_retries_past_backbone_failure():
 
 
 @settings(max_examples=200, deadline=None)
-@given(planning_cases())
+@given(st.one_of(planning_cases(), mixed_traffic_cases()))
 def test_rebuild_pipeline_output_is_a_fixed_point(case):
     """Rebuilding a copy of any plan the pipeline returned (constructed or
     mutated) draws nothing and reproduces every array byte for byte; the
