@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .construct import ConstructionInfeasibleError
-from .flow import RoutingInfeasibleError, route_flows, traces_to_json
+from .flow import route_flows, traces_to_json
 from .instance import (
     InstanceError,
     RadioParams,
@@ -28,6 +28,7 @@ from .instance import (
     load_instance,
 )
 from .model import (
+    CandidateRejected,
     VARIANTS,
     parse_variant,
     solution_metrics,
@@ -373,6 +374,11 @@ def cmd_compare(ns) -> int:
 def cmd_verify(ns) -> int:
     instance = _build_instance(ns, ns.seed)
     config = _build_config(ns, ns.seed)  # reject bad flags before the oracle runs
+    if config.gateway_count is not None:
+        raise UsageError(
+            "verify takes only --gateways auto: the oracle's front uses the "
+            "demand-budget gateway count, which a fixed count does not search"
+        )
     truth = true_pareto_front(
         instance, variant=config.variant, coverage_mode=config.coverage_mode
     )
@@ -407,7 +413,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"meshplan: {exc}", file=sys.stderr)
         return 3
-    except (ConstructionInfeasibleError, RoutingInfeasibleError) as exc:
+    except (ConstructionInfeasibleError, CandidateRejected) as exc:
         print(f"meshplan: infeasible: {exc}", file=sys.stderr)
         return 2
 

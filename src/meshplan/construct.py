@@ -2,16 +2,16 @@
 
 Steps mirror the planner's generation loop: cover demand with access points,
 bed them into relay neighborhoods, stitch the backbone together, flag
-gateways, color links with channels, then route. Any channelization or
-routing dead end throws the attempt away and the pipeline retries with fresh
-randomness.
+gateways, color links with channels, then route. A step that reaches a
+dead end raises a `CandidateRejected` subclass; the attempt is thrown away
+and the caller retries with fresh randomness.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .flow import RoutingInfeasibleError, route_flows
+from .flow import route_flows
 from .instance import (
     PlanningInstance,
     connectivity_matrix,
@@ -19,29 +19,23 @@ from .instance import (
     default_gateway_count,
     grid_neighbors,
 )
-from .model import FEAS_TOL, Solution, check_constraints
+from .model import CandidateRejected, FEAS_TOL, Solution, check_constraints
 
 
-class ChannelAssignmentError(Exception):
+class BackboneError(CandidateRejected):
+    """No relay chain joins the installed nodes or gives each two neighbors."""
+
+
+class ChannelAssignmentError(CandidateRejected):
     """Greedy channel assignment left an installed node under-linked."""
 
 
-class ConstructionInfeasibleError(Exception):
-    """No feasible solution produced within the retry budget."""
-
-
-class GatewayBudgetError(Exception):
+class GatewayBudgetError(CandidateRejected):
     """More gateways requested than the plan has installed nodes."""
 
 
-#: Failures of one rebuild attempt; every retry loop discards the attempt
-#: and draws again. Any other exception is a bug and propagates.
-REBUILD_FAILURES = (
-    ChannelAssignmentError,
-    ConstructionInfeasibleError,
-    GatewayBudgetError,
-    RoutingInfeasibleError,
-)
+class ConstructionInfeasibleError(Exception):
+    """The instance gets no plan: refused up front, or every attempt failed."""
 
 
 def _nonzero_rows(matrix: np.ndarray) -> tuple:
@@ -171,7 +165,7 @@ def _shortest_join(sources: list[int], targets: set[int], nbrs: list) -> list[in
             if parent[v] == -2:
                 parent[v] = u
                 queue.append(v)
-    raise ConstructionInfeasibleError("backbone graph is not connectable")
+    raise BackboneError("backbone graph is not connectable")
 
 
 def connect_backbone(partial: Solution, instance: PlanningInstance) -> Solution:
@@ -211,7 +205,7 @@ def connect_backbone(partial: Solution, instance: PlanningInstance) -> Solution:
                     need -= 1
                     progressed = True
         if not progressed:
-            raise ConstructionInfeasibleError(
+            raise BackboneError(
                 "connectivity graph cannot give every installed node degree 2"
             )
     return partial
@@ -340,10 +334,9 @@ def rebuild_pipeline(
     and read only the placement (`placement_key`), so when it holds a plan
     for this placement, that plan object is exactly what they would give and
     is returned without running them. Otherwise channel assignment and
-    routing run, and their failures propagate.
+    routing run. A step that fails raises a `CandidateRejected` subclass.
     """
     partial.w[:] = 0
-    partial.F[:] = 0.0
     place_access_points(partial, instance, rng)
     place_relays(partial, instance)
     connect_backbone(partial, instance)
@@ -365,11 +358,12 @@ def construct_feasible(
 ) -> Solution:
     """Build a solution passing every constraint, retrying with fresh draws.
 
-    Hopeless instances are refused before any attempt. With R < 2 a node
-    may carry at most R links (C3), but each installed node needs two (C14).
-    Where no demand point is both covered by a site and within the site
-    capacity, `place_access_points` installs nothing, so every attempt would
-    fail at gateway selection.
+    A rejected attempt is drawn again. ConstructionInfeasibleError means the
+    instance gets no plan: after `max_retries` rejections, or up front for a
+    hopeless instance. With R < 2 a node may carry at most R links (C3), but
+    each installed node needs two (C14). Where no demand point is both
+    covered by a site and within the site capacity, `place_access_points`
+    installs nothing, so every attempt would fail at gateway selection.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be >= 1")
@@ -386,19 +380,15 @@ def construct_feasible(
             f"capacity {instance.C_max:g} ({int(covered.sum())} of "
             f"{instance.num_dps} covered, {int(fits.sum())} within capacity)"
         )
-    last = "no attempt made"
     for _ in range(max_retries):
-        partial = Solution.empty(instance)
         try:
-            candidate = rebuild_pipeline(partial, instance, rng, gateway_count)
-        except REBUILD_FAILURES as exc:
-            last = str(exc)
-            continue
-        report = check_constraints(candidate, instance)
-        if report.feasible:
+            candidate = rebuild_pipeline(
+                Solution.empty(instance), instance, rng, gateway_count
+            )
+            check_constraints(candidate, instance).require()
             return candidate
-        failed = ", ".join(c.id for c in report.failed())
-        last = f"constraint check failed: {failed}"
+        except CandidateRejected as exc:
+            last = str(exc)
     raise ConstructionInfeasibleError(
         f"no feasible solution in {max_retries} attempts (last: {last})"
     )

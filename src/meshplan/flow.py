@@ -18,24 +18,18 @@ import numpy as np
 
 from .instance import PlanningInstance, row_capacities
 from .kernels import UNREACHABLE, adjacency_csr, bfs_hops, bfs_hops_multi
-from .model import FEAS_TOL, Solution
+from .model import CandidateRejected, FEAS_TOL, Solution
 
 #: Paths probed per gateway before routing moves on to the next gateway.
 MAX_PATH_TRIES = 8
 
 
-class RoutingInfeasibleError(Exception):
-    """Some demand site cannot reach any gateway within hop and capacity limits.
-
-    `args` is `(site, reason)`.
-    """
+class RoutingInfeasibleError(CandidateRejected):
+    """Some demand site cannot reach any gateway within hop and capacity limits."""
 
     def __init__(self, site: int, reason: str):
-        super().__init__(site, reason)
+        super().__init__(f"site {site}: {reason}")
         self.site = site
-
-    def __str__(self) -> str:
-        return f"site {self.site}: {self.args[1]}"
 
 
 @dataclass

@@ -42,6 +42,17 @@ class SolutionFormatError(ValueError):
     """Malformed or inconsistent solution file."""
 
 
+class CandidateRejected(Exception):
+    """A candidate plan failed a rebuild step, routing or the check.
+
+    Retry loops catch only this and draw again; any other exception is a bug.
+    """
+
+
+class CheckFailed(CandidateRejected):
+    """The plan breaks some of the fifteen constraints."""
+
+
 def parse_variant(name: str) -> str:
     key = name.strip().lower()
     if key not in VARIANTS:
@@ -242,7 +253,6 @@ def solution_metrics(solution: Solution, instance: PlanningInstance) -> dict:
 @dataclass
 class ConstraintCheck:
     id: str
-    description: str
     satisfied: bool
     violations: list
 
@@ -257,6 +267,12 @@ class ConstraintReport:
 
     def failed(self) -> list:
         return [c for c in self.checks if not c.satisfied]
+
+    def require(self) -> None:
+        """Raise CheckFailed naming the failed constraints, if any."""
+        if not self.feasible:
+            failed = ", ".join(c.id for c in self.failed())
+            raise CheckFailed(f"constraint check failed: {failed}")
 
 
 def check_constraints(
@@ -278,23 +294,20 @@ def check_constraints(
     loads = solution.site_loads(instance)
     report = ConstraintReport()
 
-    def add(cid, description, bad):
-        report.checks.append(ConstraintCheck(cid, description, len(bad) == 0, bad))
+    def add(cid, bad):
+        report.checks.append(ConstraintCheck(cid, len(bad) == 0, bad))
 
     # C1: each DP assigned to at most one site
-    add("C1", "each demand point assigned to at most one site",
-        _where(x.sum(axis=1) > 1))
+    add("C1", _where(x.sum(axis=1) > 1))
 
     # C2: assignment only to covering installed sites
-    add("C2", "assignment implies coverage and installation",
-        _where(x > a * z[None, :]))
+    add("C2", _where(x > a * z[None, :]))
 
     # C3: links incident to a node, counted once per endpoint, fit the radio budget
     out_per_channel = np.bincount(j * K + k, L, s * K).reshape(s, K)
     per_channel = out_per_channel + np.bincount(l * K + k, L, s * K).reshape(s, K)
     incident = per_channel.sum(axis=1)
-    add("C3", f"at most R={instance.R} links incident to a node",
-        _where(incident > instance.R))
+    add("C3", _where(incident > instance.R))
 
     # C4: channels per site pair. A pair has at most K rows, one per channel,
     # so only a link value above 1 can lift its sum past K.
@@ -304,37 +317,31 @@ def check_constraints(
         pairs, first = np.unique(j * s + l, return_index=True)
         over = pairs[np.add.reduceat(L.astype(np.int64), first) > instance.K]
         bad = [divmod(p, s) for p in over.tolist()]
-    add("C4", f"at most K={instance.K} channels per site pair", bad)
+    add("C4", bad)
 
     # C5: one outgoing link per node per channel
-    add("C5", "at most one outgoing link per node and channel",
-        _where(out_per_channel > 1))
+    add("C5", _where(out_per_channel > 1))
 
     # C6: per node and channel, incoming plus outgoing at most one
-    add("C6", "no same-channel transmit/receive pairing at a node",
-        _where(per_channel > 1))
+    add("C6", _where(per_channel > 1))
 
     # C7: links need range and the channel active at both endpoints
     rhs = b[j, l] * (w[j, k] + w[l, k])
-    add("C7", "link requires connectivity and channel active at both ends",
-        _rows(links, 2 * L.astype(np.int64) > rhs))
+    add("C7", _rows(links, 2 * L.astype(np.int64) > rhs))
 
     # C8: active channels bounded by installed radios
-    add("C8", f"at most R={instance.R} active channels per installed node",
-        _where(w.sum(axis=1) > instance.R * z))
+    add("C8", _where(w.sum(axis=1) > instance.R * z))
 
     # C9: access capacity
-    add("C9", f"assigned traffic within C_max={instance.C_max}",
-        _where(loads > instance.C_max + FEAS_TOL))
+    add("C9", _where(loads > instance.C_max + FEAS_TOL))
 
     # C10: flow only on established links, within capacity
     caps = np.array(row_capacities(instance, links))
-    add("C10", "flow within established link capacity",
-        _rows(links, f > L * caps + FEAS_TOL))
+    add("C10", _rows(links, f > L * caps + FEAS_TOL))
 
     # C11: demand plus inflow minus outflow equals throughput at every node
     residual = loads + np.bincount(l, f, s) - np.bincount(j, f, s) - F
-    add("C11", "flow conservation at every site", _where(np.abs(residual) > FEAS_TOL))
+    add("C11", _where(np.abs(residual) > FEAS_TOL))
 
     # C12: every demand site within A established-link hops of a gateway
     # (with no gateway at all, every demand site fails)
@@ -345,15 +352,13 @@ def check_constraints(
         (site,) for site in np.flatnonzero(loads > FEAS_TOL).tolist()
         if all(row[site] == UNREACHABLE for row in hops)
     ]
-    add("C12", f"demand sites within A={instance.A} hops of a gateway", bad)
+    add("C12", bad)
 
     # C13: throughput only at gateway-flagged sites
-    add("C13", "throughput gated by the gateway flag",
-        _where(F > instance.M * solution.gateway + FEAS_TOL))
+    add("C13", _where(F > instance.M * solution.gateway + FEAS_TOL))
 
     # C14: every installed node sits on at least two links
-    add("C14", "every installed node incident to at least two links",
-        _where((z == 1) & (incident < 2)))
+    add("C14", _where((z == 1) & (incident < 2)))
 
     # C15: variable domains; one scan tells whether any 0/1 array breaks
     binary = (("ap", solution.ap), ("relay", solution.relay),
@@ -365,7 +370,7 @@ def check_constraints(
     bad.extend(("L", *idx) for idx in _rows(links, big))
     bad.extend(("f", *idx) for idx in _rows(links, f < -FEAS_TOL))
     bad.extend(("F", *idx) for idx in _where(F < -FEAS_TOL))
-    add("C15", "binary and nonnegative variable domains", bad)
+    add("C15", bad)
 
     return report
 

@@ -15,14 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import (
-    REBUILD_FAILURES,
     Outcomes,
     construct_feasible,
+    placement_key,
     rebuild_pipeline,
 )
 from .instance import PlanningInstance
 from .kernels import crowding_distance_kernel
 from .model import (
+    CandidateRejected,
     GATEWAY,
     LINK,
     Solution,
@@ -152,18 +153,19 @@ def mutate_solution(
     """Randomly drop APs and move gateway flags, then rebuild and re-route.
 
     Each attempt perturbs a fresh copy of `base` and replays the placement
-    pipeline on the survivors; an attempt that fails channelization, routing
-    or the constraint check is discarded. After `retries` failures the
-    unmutated `fallback` is returned.
+    pipeline on the survivors; an attempt rejected by a rebuild step,
+    routing or the constraint check is discarded. After `retries` rejections
+    the unmutated `fallback` is returned.
 
     `fallback` must be a feasible `rebuild_pipeline` output, as every
-    particle's plan is: an attempt whose ap, relay, gateway and x equal it
-    returns it without the rebuild and check, which would reproduce it.
+    particle's plan is: an attempt with its `placement_key` returns it
+    without the rebuild and check, which would reproduce it.
 
     `outcomes` holds plans that passed the check. A rebuilt plan that passes
     is stored there, so `rebuild_pipeline` returns it for the same placement
     later, and that plan object is returned again without the check.
     """
+    unchanged = placement_key(fallback)
     for _ in range(retries):
         work = base.copy()
         aps = np.flatnonzero(work.ap == 1)
@@ -180,22 +182,18 @@ def mutate_solution(
             if draw < mut and len(targets) > 0:
                 work.gateway[site] = 0
                 work.gateway[targets[rng.integers(len(targets))]] = 1
-        if all(
-            np.array_equal(getattr(work, name), getattr(fallback, name))
-            for name in ("ap", "relay", "gateway", "x")
-        ):
+        if placement_key(work) == unchanged:
             return fallback
         try:
             rebuilt = rebuild_pipeline(work, instance, rng, gateway_count, outcomes)
-        except REBUILD_FAILURES:
+            # Nothing is stored since the rebuild's own lookup, so this
+            # finds `rebuilt` exactly when the rebuild returned a stored plan.
+            if outcomes.lookup(rebuilt) is not rebuilt:
+                check_constraints(rebuilt, instance).require()
+                outcomes.store(rebuilt)
+        except CandidateRejected:
             continue
-        # Nothing is stored between the lookup in the rebuild and this one,
-        # so the plan is the stored one exactly when the rebuild returned it.
-        if outcomes.lookup(rebuilt) is rebuilt:
-            return rebuilt
-        if check_constraints(rebuilt, instance).feasible:
-            outcomes.store(rebuilt)
-            return rebuilt
+        return rebuilt
     return fallback
 
 

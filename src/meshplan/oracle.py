@@ -21,7 +21,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .flow import RoutingInfeasibleError, route_flows
+from .flow import route_flows
 from .instance import (
     PlanningInstance,
     connectivity_matrix,
@@ -30,6 +30,7 @@ from .instance import (
 )
 from .kernels import pareto_mask
 from .model import (
+    CandidateRejected,
     FEAS_TOL,
     Solution,
     check_constraints,
@@ -236,9 +237,8 @@ def enumerate_feasible(
     for sol in candidates(instance, a, b):
         try:
             routed, _ = route_flows(sol, instance)
-        except RoutingInfeasibleError:
-            continue
-        if not check_constraints(routed, instance).feasible:
+            check_constraints(routed, instance).require()
+        except CandidateRejected:
             continue
         yield routed, evaluate(routed, instance, variant, coverage_mode)
 

@@ -9,6 +9,7 @@ so these tests pin them.
 """
 
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -57,6 +58,24 @@ def test_names_run_py_reads_resolve():
     ))
     assert "kernels.NUMBA_ENABLED" in names
     assert [name for name in sorted(names) if _resolve(name) is None] == []
+
+
+def test_failure_counters_name_rejection_classes():
+    # run.py reports an absent counter as 0, so a renamed class would
+    # silently zero the metric BENCHMARK.json lists under its old name
+    listed = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    names = {
+        metric["name"].split(".fail.")[1]
+        for metric in listed["per_layer"] if ".fail." in metric["name"]
+    }
+    assert names
+    rejections = {
+        obj.__name__
+        for module in vars(meshplan).values() if isinstance(module, type(meshplan))
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, meshplan.model.CandidateRejected)
+    }
+    assert names - rejections <= {"ValueError"}
 
 
 def test_numba_flag_exists():

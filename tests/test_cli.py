@@ -228,6 +228,24 @@ def test_verify_rejects_bad_flags_before_oracle(tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_verify_refuses_fixed_gateway_count(tmp_path, capsys, monkeypatch, how):
+    # the oracle's front uses the demand budget, whatever --gateways says
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran for a fixed gateway count")
+
+    monkeypatch.setattr(cli, "true_pareto_front", oracle)
+    if how == "flag":
+        extra = ["--gateways", "3"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gateways": 3}))
+        extra = ["--config", str(cfg)]
+    code = main(["verify", "--instance", TOY, *extra, "--out", str(tmp_path)])
+    assert code == 1
+    assert "--gateways auto" in capsys.readouterr().err
+
+
 def test_hopeless_instance_refused_before_any_attempt(tmp_path, capsys, monkeypatch):
     # traffic 2 exceeds capacity 1 at every demand point: no plan can exist
     def rebuild(*args, **kwargs):

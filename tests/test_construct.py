@@ -15,6 +15,7 @@ from conftest import (
     planning_cases,
 )
 from meshplan.construct import (
+    BackboneError,
     ChannelAssignmentError,
     ConstructionInfeasibleError,
     GatewayBudgetError,
@@ -35,7 +36,13 @@ from meshplan.instance import (
     coverage_matrix,
     grid_neighbors,
 )
-from meshplan.model import Solution
+from meshplan.model import (
+    CandidateRejected,
+    CheckFailed,
+    ConstraintCheck,
+    ConstraintReport,
+    Solution,
+)
 
 
 def _lone_ap(instance, site):
@@ -137,7 +144,7 @@ def test_connect_backbone_unreachable_components():
     sol = Solution.empty(inst)
     sol.ap[0] = 1
     sol.ap[2] = 1
-    with pytest.raises(ConstructionInfeasibleError):
+    with pytest.raises(BackboneError, match="not connectable"):
         connect_backbone(sol, inst)
 
 
@@ -367,6 +374,32 @@ def test_gateway_budget_is_retried(standard_instance, rng):
         retries=3, outcomes=Outcomes(8),
     )
     assert out is plan
+
+
+def test_failed_check_is_retried(verify2x3_instance, monkeypatch):
+    """A plan the check rejects is a rejected attempt like any other, and the
+    last rejection names the failed constraints."""
+    checked = []
+
+    def failing(solution, instance):
+        checked.append(solution)
+        return ConstraintReport([ConstraintCheck("C1", False, [(0,)])])
+
+    monkeypatch.setattr(construct, "check_constraints", failing)
+    with pytest.raises(ConstructionInfeasibleError) as err:
+        construct_feasible(verify2x3_instance, np.random.default_rng(0), max_retries=3)
+    assert len(checked) == 3
+    assert str(err.value).endswith(
+        "in 3 attempts (last: constraint check failed: C1)"
+    )
+
+
+def test_attempt_failures_are_candidate_rejections():
+    for cls in (BackboneError, ChannelAssignmentError, GatewayBudgetError,
+                RoutingInfeasibleError, CheckFailed):
+        assert issubclass(cls, CandidateRejected), cls
+    # the instance-level verdict is not one more retryable attempt
+    assert not issubclass(ConstructionInfeasibleError, CandidateRejected)
 
 
 def test_memo_keeps_no_routing_failure(monkeypatch):

@@ -16,6 +16,7 @@ from conftest import (
 )
 from meshplan import construct, mopso
 from meshplan.construct import (
+    BackboneError,
     ConstructionInfeasibleError,
     Outcomes,
     construct_feasible,
@@ -155,7 +156,7 @@ def test_mutation_falls_back_past_backbone_failure(monkeypatch):
     def rebuild(*args):
         try:
             return real_rebuild(*args)
-        except ConstructionInfeasibleError as exc:
+        except BackboneError as exc:
             failures.append(exc)
             raise
 
@@ -410,7 +411,7 @@ def test_plan_failing_the_check_is_not_stored(verify2x3_instance, monkeypatch):
 
     def failing(solution, instance):
         checked.append(solution)
-        return ConstraintReport([ConstraintCheck("C1", "stub", False, [(0,)])])
+        return ConstraintReport([ConstraintCheck("C1", False, [(0,)])])
 
     monkeypatch.setattr(mopso, "check_constraints", failing)
     outcomes = Outcomes(4)

@@ -11,7 +11,7 @@ from conftest import FIXTURES, assert_feasible, make_square_instance
 from meshplan import oracle
 from meshplan.instance import PlanningInstance, RadioParams, build_grid_instance
 from meshplan.kernels import pareto_mask
-from meshplan.model import evaluate
+from meshplan.model import ConstraintCheck, ConstraintReport, evaluate
 from meshplan.oracle import (
     GuardError,
     enumerate_feasible,
@@ -194,6 +194,18 @@ def test_one_labeling_per_class_is_exact(inst):
 def test_enumeration_includes_only_feasible(one_dp_instance):
     for sol, vec in enumerate_feasible(one_dp_instance, policy_matched=False):
         assert_feasible(sol, one_dp_instance)
+
+
+def test_candidates_failing_the_check_are_skipped(toy_instance, monkeypatch):
+    checked = []
+
+    def failing(solution, instance):
+        checked.append(solution)
+        return ConstraintReport([ConstraintCheck("C1", False, [(0,)])])
+
+    monkeypatch.setattr(oracle, "check_constraints", failing)
+    assert list(enumerate_feasible(toy_instance)) == []
+    assert checked
 
 
 def test_guard_refuses_large_instances():

@@ -17,8 +17,8 @@ from conftest import (
     planning_cases,
 )
 from meshplan.construct import (
+    BackboneError,
     ChannelAssignmentError,
-    ConstructionInfeasibleError,
     _components,
     _shortest_join,
     assign_channels,
@@ -113,7 +113,7 @@ def connect_backbone_matrix(partial, instance):
                     need -= 1
                     progressed = True
         if not progressed:
-            raise ConstructionInfeasibleError(
+            raise BackboneError(
                 "connectivity graph cannot give every installed node degree 2"
             )
     return partial
@@ -166,7 +166,7 @@ def outcome(step, plan, instance):
     """The plan a step made, or the class and message of its failure."""
     try:
         return step(plan, instance), None
-    except (ChannelAssignmentError, ConstructionInfeasibleError) as exc:
+    except (BackboneError, ChannelAssignmentError) as exc:
         return plan, (type(exc), str(exc))
 
 
