@@ -34,7 +34,7 @@ from .model import (
     solution_metrics,
     solution_to_dict,
 )
-from .mopso import MopsoConfig, run, stats_to_csv
+from .mopso import MopsoConfig, format_cell, run, stats_to_csv
 from .oracle import GuardError, true_pareto_front, verify_archive
 
 METRIC_COLUMNS = (
@@ -223,15 +223,14 @@ def _build_config(ns, seed, variant=None) -> MopsoConfig:
     return config
 
 
-def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.10g}"
-
-
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _out_dir(ns) -> Path:
+    """Create the --out directory before any search runs."""
+    out = Path(ns.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory: {exc}") from exc
+    return out
 
 
 def _archive_json(result, instance) -> str:
@@ -271,7 +270,7 @@ def _summary_text(result, instance) -> str:
         f"evaluations: {result.evaluations}",
         f"archive size: {len(result.archive)}",
         "cheapest solution: "
-        + ", ".join(f"{key}={_fmt(metrics[key])}" for key in METRIC_COLUMNS),
+        + ", ".join(f"{key}={format_cell(metrics[key])}" for key in METRIC_COLUMNS),
     ]
     return "\n".join(lines) + "\n"
 
@@ -279,15 +278,15 @@ def _summary_text(result, instance) -> str:
 def cmd_plan(ns) -> int:
     instance = _build_instance(ns, ns.seed)
     config = _build_config(ns, ns.seed)
+    out = _out_dir(ns)
     result = run(instance, config)
-    out = Path(ns.out)
-    _write(out / "archive.json", _archive_json(result, instance))
-    _write(out / "stats.csv", stats_to_csv(result.stats))
-    _write(out / "cheapest.json", _cheapest_json(result, instance))
-    _write(out / "summary.txt", _summary_text(result, instance))
+    (out / "archive.json").write_text(_archive_json(result, instance))
+    (out / "stats.csv").write_text(stats_to_csv(result.stats))
+    (out / "cheapest.json").write_text(_cheapest_json(result, instance))
+    (out / "summary.txt").write_text(_summary_text(result, instance))
     if ns.dump_routes:
         _, traces = route_flows(result.incumbent, instance)
-        _write(out / "routes.json", traces_to_json(traces) + "\n")
+        (out / "routes.json").write_text(traces_to_json(traces) + "\n")
     metrics = solution_metrics(result.incumbent, instance)
     print(
         f"plan: archive {len(result.archive)}, cheapest total {metrics['total']}, "
@@ -296,19 +295,17 @@ def cmd_plan(ns) -> int:
     return 0
 
 
-def _metric_cells(instance, config) -> list[str]:
-    """Run the search once; the cheapest plan's metrics as CSV cells."""
-    result = run(instance, config)
-    metrics = solution_metrics(result.incumbent, instance)
-    return [_fmt(metrics[key]) for key in METRIC_COLUMNS]
-
-
-def _write_table(ns, name: str, columns: str, rows: list) -> int:
-    """Write (sort key, cells) rows to <out>/<name>.csv in key order."""
-    path = Path(ns.out) / f"{name}.csv"
+def _write_table(ns, name: str, columns: str, runs: list) -> int:
+    """Search once per (sort key, leading cells, instance, config); write the
+    cells and the cheapest plan's metrics to <out>/<name>.csv in key order."""
+    path = _out_dir(ns) / f"{name}.csv"
+    rows = []
+    for key, cells, instance, config in runs:
+        metrics = solution_metrics(run(instance, config).incumbent, instance)
+        rows.append((key, [*cells, *(format_cell(metrics[k]) for k in METRIC_COLUMNS)]))
     lines = [",".join([columns, *METRIC_COLUMNS])]
     lines += [",".join(cells) for _, cells in sorted(rows, key=lambda r: r[0])]
-    _write(path, "\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
     print(f"{name}: {len(rows)} rows written to {path}")
     return 0
 
@@ -323,7 +320,7 @@ def _sweep_point(axis: str, token: str) -> tuple:
         raise UsageError(f"bad {axis} value {token!r}") from None
     if not value > 0:  # NaN fails too
         raise UsageError(f"{axis} values must be positive")
-    return value, _fmt(value), value
+    return value, format_cell(value), value
 
 
 def cmd_sweep(ns) -> int:
@@ -337,14 +334,13 @@ def cmd_sweep(ns) -> int:
     if ns.reps < 1:
         raise UsageError("--reps must be >= 1")
     points = [_sweep_point(ns.axis, token) for token in tokens]
-    rows = []
+    runs = []
     for key, label, value in points:
         point = argparse.Namespace(**{**vars(ns), ns.axis: value})
-        for rep in range(ns.reps):
-            seed = ns.seed + rep
-            cells = _metric_cells(_build_instance(point, seed), _build_config(ns, seed))
-            rows.append(((key, seed), [ns.axis, label, str(seed), *cells]))
-    return _write_table(ns, "sweep", "axis,value,seed", rows)
+        for seed in range(ns.seed, ns.seed + ns.reps):
+            runs.append(((key, seed), [ns.axis, label, str(seed)],
+                         _build_instance(point, seed), _build_config(ns, seed)))
+    return _write_table(ns, "sweep", "axis,value,seed", runs)
 
 
 def cmd_compare(ns) -> int:
@@ -357,18 +353,14 @@ def cmd_compare(ns) -> int:
         raise UsageError("compare needs at least two distinct --models")
     if ns.reps < 1:
         raise UsageError("--reps must be >= 1")
-    if ns.instance:
-        grid_label = "file"
-    else:
-        grid_label = ns.grid
-    rows = []
-    for rep in range(ns.reps):
-        seed = ns.seed + rep
+    grid_label = "file" if ns.instance else ns.grid
+    runs = []
+    for seed in range(ns.seed, ns.seed + ns.reps):
         instance = _build_instance(ns, seed)
         for variant in variants:
-            cells = _metric_cells(instance, _build_config(ns, seed, variant=variant))
-            rows.append(((seed, variant), [variant, grid_label, str(seed), *cells]))
-    return _write_table(ns, "compare", "variant,grid,seed", rows)
+            runs.append(((seed, variant), [variant, grid_label, str(seed)], instance,
+                         _build_config(ns, seed, variant=variant)))
+    return _write_table(ns, "compare", "variant,grid,seed", runs)
 
 
 def cmd_verify(ns) -> int:
@@ -386,11 +378,11 @@ def cmd_verify(ns) -> int:
     report = verify_archive(result.archive.objectives_matrix(), truth)
     print(f"true front size: {len(truth)}")
     print(f"archive size: {len(result.archive)}")
-    print(f"on_front_fraction: {_fmt(report['on_front_fraction'])}")
-    print(f"front_coverage_fraction: {_fmt(report['front_coverage_fraction'])}")
+    print(f"on_front_fraction: {format_cell(report['on_front_fraction'])}")
+    print(f"front_coverage_fraction: {format_cell(report['front_coverage_fraction'])}")
     print(f"violations: {len(report['violations'])}")
     for vec in report["violations"]:
-        print("  dominated: " + ", ".join(_fmt(x) for x in vec))
+        print("  dominated: " + ", ".join(format_cell(x) for x in vec))
     passed = (
         report["on_front_fraction"] == 1.0
         and report["front_coverage_fraction"] >= ns.threshold

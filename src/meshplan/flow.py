@@ -12,7 +12,7 @@ rejected outright.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,17 +41,9 @@ class RoutingTrace:
     path: list
     demand: float
 
-    def to_dict(self) -> dict:
-        return {
-            "site": self.site,
-            "gateway": self.gateway,
-            "path": [int(v) for v in self.path],
-            "demand": self.demand,
-        }
-
 
 def traces_to_json(traces: list, indent: int = 2) -> str:
-    return json.dumps([t.to_dict() for t in traces], indent=indent, sort_keys=True)
+    return json.dumps([asdict(t) for t in traces], indent=indent, sort_keys=True)
 
 
 def _lex_shortest_path(indptr, indices, dist_from_gw, site, gateway):
@@ -101,10 +93,9 @@ def route_flows(
     for r, (u, v, _) in enumerate(keys):
         pair_rows.setdefault((u, v), []).append(r)
 
-    def graph(pairs):
-        return adjacency_csr(s, [u for u, _ in pairs], [v for _, v in pairs])
-
-    indptr, indices = graph(pair_rows)
+    indptr, indices = adjacency_csr(
+        s, [u for u, _ in pair_rows], [v for _, v in pair_rows]
+    )
     demand_sites = np.flatnonzero(loads > FEAS_TOL).tolist()
     gateways = np.flatnonzero(out.gateway == 1).tolist()
     throughput = [0.0] * s
@@ -123,13 +114,15 @@ def route_flows(
         return None
 
     def route_to(site: int, gw: int, demand: float):
-        """Commit demand on a path from site to gw, or None if all are blocked;
-        each blocked try drops its first full site pair from the next search."""
-        dist, dropped, csr = hops[gw], set(), (indptr, indices)
+        """Commit demand on a path from site to gw, or None if all are blocked.
+        Each blocked try cuts its first full site pair u-v out of a copy of
+        `indices` as self-loops (u's v becomes u, v's u becomes v), which no
+        search takes; the other entries keep their ascending order."""
+        dist, cut = hops[gw], indices
         for _ in range(MAX_PATH_TRIES):
             if dist[site] == UNREACHABLE:
                 return None
-            path = _lex_shortest_path(*csr, dist, site, gw)
+            path = _lex_shortest_path(indptr, cut, dist, site, gw)
             picks = []
             for u, v in zip(path, path[1:]):
                 r = lowest_row(u, v, demand)
@@ -141,9 +134,11 @@ def route_flows(
                     sender[r] = u
                     flow[r] += demand
                 return path
-            dropped.add((min(u, v), max(u, v)))
-            csr = graph([p for p in pair_rows if p not in dropped])
-            dist = bfs_hops(*csr, gw, s, A)
+            if cut is indices:
+                cut = indices.copy()
+            cut[cut.index(v, indptr[u], indptr[u + 1])] = u
+            cut[cut.index(u, indptr[v], indptr[v + 1])] = v
+            dist = bfs_hops(indptr, cut, gw, s, A)
         return None
 
     for site in demand_sites:

@@ -16,6 +16,11 @@ class InstanceError(ValueError):
     """Invalid instance parameters or malformed instance file."""
 
 
+def _positive(values) -> bool:
+    """True if every value is a finite number above zero; NaN fails."""
+    return bool(np.all(np.greater(values, 0) & np.less(values, np.inf)))
+
+
 @dataclass(frozen=True)
 class RadioParams:
     """Per-node radio limits shared by every candidate site."""
@@ -55,25 +60,24 @@ class PlanningInstance:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        # positivity is tested as `not x > 0` so that NaN fails too
         if self.rows < 1 or self.cols < 1:
             raise InstanceError("grid must have at least one site")
-        if not self.spacing > 0:
-            raise InstanceError("spacing must be positive")
-        if not (self.coverage_radius > 0 and self.backbone_range > 0):
-            raise InstanceError("radii must be positive")
+        if not _positive(self.spacing):
+            raise InstanceError("spacing must be positive and finite")
+        if not _positive((self.coverage_radius, self.backbone_range)):
+            raise InstanceError("radii must be positive and finite")
         if self.R < 1:
             raise InstanceError("radios must be >= 1")
         if self.K < self.R:
             raise InstanceError(f"channels ({self.K}) must be >= radios ({self.R})")
-        if not self.C_max > 0:
-            raise InstanceError("capacity must be positive")
+        if not _positive(self.C_max):
+            raise InstanceError("capacity must be positive and finite")
         if self.A < 1:
             raise InstanceError("hop bound must be >= 1")
-        if not np.all(self.dp_traffic > 0):
-            raise InstanceError("demand traffic must be positive")
-        if not self.M > 0:
-            raise InstanceError("gateway big-M must be positive")
+        if not _positive(self.dp_traffic):
+            raise InstanceError("demand traffic must be positive and finite")
+        if not _positive(self.M):
+            raise InstanceError("gateway big-M must be positive and finite")
         if self.sites.shape != (self.rows * self.cols, 2):
             raise InstanceError("sites array does not match grid shape")
         if self.dp_positions.shape != (len(self.dp_traffic), 2):
@@ -87,8 +91,8 @@ class PlanningInstance:
                 raise InstanceError(f"capacity override site out of range: ({j},{l})")
             if not 0 <= k < self.K:
                 raise InstanceError(f"capacity override channel out of range: {k}")
-            if not cap > 0:
-                raise InstanceError("link capacity must be positive")
+            if not _positive(cap):
+                raise InstanceError("link capacity must be positive and finite")
         self.sites.setflags(write=False)
         self.dp_positions.setflags(write=False)
         self.dp_traffic.setflags(write=False)

@@ -249,20 +249,19 @@ def _generation_stats(generation: int, archive: ParetoArchive, names) -> dict:
     return row
 
 
+def format_cell(value) -> str:
+    """One CSV or report cell: ints exact, other numbers `.10g`, None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, int):
+        return str(value)
+    return f"{value:.10g}"
+
+
 def stats_to_csv(stats: list[dict]) -> str:
     """Fixed-column CSV text; absent objectives render as empty fields."""
     lines = [",".join(STATS_COLUMNS)]
-    for row in stats:
-        cells = []
-        for col in STATS_COLUMNS:
-            value = row[col]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, int):
-                cells.append(str(value))
-            else:
-                cells.append(f"{value:.10g}")
-        lines.append(",".join(cells))
+    lines += [",".join(format_cell(row[col]) for col in STATS_COLUMNS) for row in stats]
     return "\n".join(lines) + "\n"
 
 

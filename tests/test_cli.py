@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +297,50 @@ def test_invalid_radio_combo_exits_one(tmp_path):
         "--radios", "3", *FAST, "--out", str(tmp_path),
     ])
     assert code == 1
+
+
+def test_infinite_capacity_exits_one(tmp_path, capsys):
+    code = main([
+        "plan", "--grid", "3x3", "--dps", "20", "--capacity", "inf",
+        *FAST, "--out", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    assert "capacity must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_instance_file_with_infinite_capacity_exits_one(tmp_path, capsys):
+    # json writes float("inf") as the non-standard token Infinity, which
+    # json.load reads back
+    data = json.loads(Path(TOY).read_text())
+    data["C_max"] = float("inf")
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    assert "Infinity" in path.read_text()
+    code = main(["plan", "--instance", str(path), *FAST, "--out", str(tmp_path)])
+    assert code == 1
+    assert "capacity must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plan", "sweep", "compare"])
+def test_out_that_is_a_file_exits_one_before_any_search(
+    tmp_path, capsys, monkeypatch, command
+):
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run", search)
+    out = tmp_path / "taken"
+    out.write_text("")
+    extra = {"sweep": ["--axis", "traffic", "--values", "2"], "compare": []}
+    code = main([
+        command, "--grid", "3x3", "--dps", "10", *extra.get(command, []), *FAST,
+        "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("meshplan: error: cannot create output directory")
+    assert err.count("\n") == 1
 
 
 def test_bad_grid_token_exits_one(tmp_path):

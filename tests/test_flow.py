@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_flow_conserved,
@@ -13,8 +15,15 @@ from conftest import (
     planning_cases,
 )
 from meshplan.construct import ConstructionInfeasibleError, construct_feasible
-from meshplan.flow import RoutingInfeasibleError, route_flows, traces_to_json
-from meshplan.instance import row_capacities
+from meshplan.flow import (
+    MAX_PATH_TRIES,
+    RoutingInfeasibleError,
+    RoutingTrace,
+    route_flows,
+    traces_to_json,
+)
+from meshplan.instance import RadioParams, build_grid_instance, row_capacities
+from meshplan.kernels import UNREACHABLE, adjacency_csr, bfs_hops
 from meshplan.model import (
     FEAS_TOL,
     Solution,
@@ -283,3 +292,176 @@ def test_routing_conserves_flow_within_link_capacity(case):
     assert sum(t.demand for t in traces) == pytest.approx(
         float(routed.site_loads(inst).sum())
     )
+
+
+@pytest.mark.parametrize("full", [7, 8])
+def test_fan_of_blocked_paths_stops_after_max_path_tries(full):
+    # nine two-hop paths 0-i-10; the first `full` are too narrow for the
+    # demand, and each blocked try cuts one of them
+    assert MAX_PATH_TRIES == 8
+    inst = make_line_instance(
+        11, capacity_overrides=tuple((0, i, 0, 1.0) for i in range(1, full + 1))
+    )
+    sol = Solution.empty(inst)
+    sol.ap[0] = 1
+    sol.relay[1:] = 1
+    sol.gateway[10] = 1
+    sol.x[0, 0] = 1
+    sol.set_links(
+        row for i in range(1, 10) for row in ((0, i, 0, 1, 0.0), (i, 10, 0, 1, 0.0))
+    )
+    if full == 7:
+        routed, traces = route_flows(sol, inst)
+        assert traces[0].path == [0, 8, 10]
+        assert_flow_conserved(routed, inst)
+    else:
+        # 0-9-10 is free, but it would be the ninth try
+        with pytest.raises(RoutingInfeasibleError) as exc:
+            route_flows(sol, inst)
+        assert str(exc.value) == (
+            "site 0: every path within 3 hops blocked by link capacity"
+        )
+
+
+def _reference_route_flows(solution, instance):
+    """Routing as specified, written independently of `route_flows`: each
+    blocked try rebuilds the hop graph from every site pair not yet dropped
+    and walks it afresh."""
+    s, A = instance.num_sites, instance.A
+    out = solution.copy()
+    loads = out.site_loads(instance)
+    live = out.links[out.L == 1]
+    caps = {}
+    for (j, l, k), c in zip(live.tolist(), row_capacities(instance, live)):
+        caps[min(j, l), max(j, l), k] = c
+    keys = sorted(caps)
+    sender = [None] * len(keys)
+    flow = [0.0] * len(keys)
+    pairs = sorted({(u, v) for u, v, _ in keys})
+
+    def hops(gw, dropped=()):
+        kept = [p for p in pairs if p not in dropped]
+        csr = adjacency_csr(s, [u for u, _ in kept], [v for _, v in kept])
+        return csr, bfs_hops(*csr, gw, s, A)
+
+    def walk(csr, dist, site, gw):
+        indptr, indices = csr
+        path = [site]
+        while path[-1] != gw:
+            cur = path[-1]
+            nbrs = indices[indptr[cur]:indptr[cur + 1]]
+            path.append(next(v for v in nbrs if dist[v] == dist[cur] - 1))
+        return path
+
+    def lowest_row(u, v, demand):
+        for r, (a, b, _) in enumerate(keys):
+            if (a, b) == (min(u, v), max(u, v)) and sender[r] in (None, u) \
+                    and flow[r] + demand <= caps[keys[r]] + FEAS_TOL:
+                return r
+        return None
+
+    def route_to(site, gw, demand):
+        dropped = set()
+        for _ in range(MAX_PATH_TRIES):
+            csr, dist = hops(gw, dropped)
+            if dist[site] == UNREACHABLE:
+                return None
+            path = walk(csr, dist, site, gw)
+            picks = [(u, lowest_row(u, v, demand)) for u, v in zip(path, path[1:])]
+            blocked = [i for i, (_, r) in enumerate(picks) if r is None]
+            if not blocked:
+                for u, r in picks:
+                    sender[r] = u
+                    flow[r] += demand
+                return path
+            u, v = path[blocked[0]], path[blocked[0] + 1]
+            dropped.add((min(u, v), max(u, v)))
+        return None
+
+    demand_sites = np.flatnonzero(loads > FEAS_TOL).tolist()
+    gateways = np.flatnonzero(out.gateway == 1).tolist()
+    if demand_sites and not gateways:
+        raise RoutingInfeasibleError(demand_sites[0], "no gateway selected")
+    throughput = [0.0] * s
+    traces = []
+    for site in demand_sites:
+        demand = float(loads[site])
+        dists = [(hops(gw)[1][site], gw) for gw in gateways]
+        order = sorted(d for d in dists if d[0] != UNREACHABLE)
+        if not order:
+            raise RoutingInfeasibleError(site, f"no gateway within {A} hops")
+        for _, gw in order:
+            path = route_to(site, gw, demand)
+            if path is not None:
+                break
+        else:
+            raise RoutingInfeasibleError(
+                site, f"every path within {A} hops blocked by link capacity"
+            )
+        throughput[gw] += demand
+        traces.append(RoutingTrace(site, gw, path, demand))
+    out.set_links(
+        (v, u, k, 1, f) if snd == v else (u, v, k, 1, f)
+        for (u, v, k), snd, f in zip(keys, sender, flow)
+    )
+    out.F = np.array(throughput, dtype=np.float64)
+    return out, traces
+
+
+@st.composite
+def link_tables(draw):
+    """A small grid with random links, demand, gateways and narrow links."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    s, K = rows * cols, draw(st.integers(1, 3))
+    inst = build_grid_instance(
+        rows, cols, n_dps=s, radio=RadioParams(
+            radios=1, channels=K, capacity=6.0, max_hops=draw(st.integers(1, 4))
+        ), seed=0,
+    )
+    # each site pair draws no link, or a link on one channel that is wide
+    # (None: C_max), or narrower than some demands and so blocks them
+    pairs = [(j, l) for j in range(s) for l in range(j + 1, s)]
+    choice = st.one_of(st.none(), st.tuples(
+        st.integers(0, K - 1), st.sampled_from([None, 1.0, 2.0, 3.0]),
+        st.booleans(),
+    ))
+    links, overrides = [], []
+    for (j, l), pick in zip(pairs, draw(st.lists(
+        choice, min_size=len(pairs), max_size=len(pairs),
+    ))):
+        if pick is not None:
+            k, cap, flip = pick
+            links.append((l, j, k) if flip else (j, l, k))
+            if cap is not None:
+                overrides.append((*links[-1], cap))
+    traffic = np.array(draw(st.lists(
+        st.sampled_from([1.0, 2.0, 3.0, 4.0]), min_size=s, max_size=s,
+    )))
+    inst = dataclasses.replace(
+        inst, dp_traffic=traffic, capacity_overrides=tuple(overrides), _cache={},
+    )
+    sol = Solution.empty(inst)
+    site = st.integers(0, s - 1)
+    for j in draw(st.sets(site, max_size=s)):
+        sol.x[j, j] = 1
+    sol.gateway[list(draw(st.sets(site, max_size=3)))] = 1
+    sol.set_links((j, l, k, 1, 0.0) for j, l, k in links)
+    return sol, inst
+
+
+@settings(max_examples=300, deadline=None)
+@given(link_tables())
+def test_routing_matches_rebuilt_graph_reference(case):
+    sol, inst = case
+    try:
+        expected = _reference_route_flows(sol, inst)
+    except RoutingInfeasibleError as exc:
+        with pytest.raises(RoutingInfeasibleError) as got:
+            route_flows(sol, inst)
+        assert str(got.value) == str(exc)
+        return
+    routed, traces = route_flows(sol, inst)
+    ref, ref_traces = expected
+    for name in ("links", "L", "f", "F"):
+        assert getattr(routed, name).tolist() == getattr(ref, name).tolist(), name
+    assert traces == ref_traces

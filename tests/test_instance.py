@@ -182,6 +182,8 @@ def test_random_matrix_override_is_seeded():
         dict(max_hops=0),
         dict(traffic=float("nan")),
         dict(capacity=float("nan")),
+        dict(traffic=float("inf")),
+        dict(capacity=float("inf")),
     ],
 )
 def test_radio_params_validation(kwargs):
