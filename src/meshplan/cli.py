@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -318,8 +319,6 @@ def _sweep_point(axis: str, token: str) -> tuple:
         value = (float if axis == "traffic" else int)(token)
     except ValueError:
         raise UsageError(f"bad {axis} value {token!r}") from None
-    if not value > 0:  # NaN fails too
-        raise UsageError(f"{axis} values must be positive")
     return value, format_cell(value), value
 
 
@@ -371,6 +370,8 @@ def cmd_verify(ns) -> int:
             "verify takes only --gateways auto: the oracle's front uses the "
             "demand-budget gateway count, which a fixed count does not search"
         )
+    if math.isnan(ns.threshold):
+        raise UsageError("--threshold must be a number, not NaN")
     truth = true_pareto_front(
         instance, variant=config.variant, coverage_mode=config.coverage_mode
     )

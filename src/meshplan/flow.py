@@ -46,21 +46,19 @@ def traces_to_json(traces: list, indent: int = 2) -> str:
     return json.dumps([asdict(t) for t in traces], indent=indent, sort_keys=True)
 
 
-def _lex_shortest_path(indptr, indices, dist_from_gw, site, gateway):
-    """Walk downhill from site to gateway, smallest neighbor index first.
+def _lex_shortest_path(graph, dist_from_gw, site, gateway):
+    """Walk downhill from site to gateway, smallest neighbour index first.
 
-    Every argument is a Python list; each step visits a node one hop closer
-    to the gateway than the last, so a hop-bounded dist_from_gw suffices.
+    Each step visits a node one hop closer to the gateway than the last, so
+    a hop-bounded dist_from_gw suffices; a node with no such neighbour
+    raises StopIteration.
     """
     path = [site]
     cur = site
     while cur != gateway:
         want = dist_from_gw[cur] - 1
-        for v in indices[indptr[cur]:indptr[cur + 1]]:
-            if dist_from_gw[v] == want:
-                break
-        path.append(v)
-        cur = v
+        cur = next(v for v in graph[cur] if dist_from_gw[v] == want)
+        path.append(cur)
     return path
 
 
@@ -93,9 +91,7 @@ def route_flows(
     for r, (u, v, _) in enumerate(keys):
         pair_rows.setdefault((u, v), []).append(r)
 
-    indptr, indices = adjacency_csr(
-        s, [u for u, _ in pair_rows], [v for _, v in pair_rows]
-    )
+    graph = adjacency_csr(s, [u for u, _ in pair_rows], [v for _, v in pair_rows])
     demand_sites = np.flatnonzero(loads > FEAS_TOL).tolist()
     gateways = np.flatnonzero(out.gateway == 1).tolist()
     throughput = [0.0] * s
@@ -104,7 +100,7 @@ def route_flows(
     if demand_sites and not gateways:
         raise RoutingInfeasibleError(demand_sites[0], "no gateway selected")
 
-    hops = dict(zip(gateways, bfs_hops_multi(indptr, indices, gateways, s, A)))
+    hops = dict(zip(gateways, bfs_hops_multi(graph, A, gateways)))
 
     def lowest_row(u: int, v: int, demand: float):
         """Row of the lowest channel on link u-v that can carry demand u->v."""
@@ -115,14 +111,13 @@ def route_flows(
 
     def route_to(site: int, gw: int, demand: float):
         """Commit demand on a path from site to gw, or None if all are blocked.
-        Each blocked try cuts its first full site pair u-v out of a copy of
-        `indices` as self-loops (u's v becomes u, v's u becomes v), which no
-        search takes; the other entries keep their ascending order."""
-        dist, cut = hops[gw], indices
+        Each blocked try removes its first full site pair u-v from a copy of
+        `graph`, replacing rows u and v rather than editing the shared ones."""
+        dist, cut = hops[gw], graph
         for _ in range(MAX_PATH_TRIES):
             if dist[site] == UNREACHABLE:
                 return None
-            path = _lex_shortest_path(indptr, cut, dist, site, gw)
+            path = _lex_shortest_path(cut, dist, site, gw)
             picks = []
             for u, v in zip(path, path[1:]):
                 r = lowest_row(u, v, demand)
@@ -134,11 +129,11 @@ def route_flows(
                     sender[r] = u
                     flow[r] += demand
                 return path
-            if cut is indices:
-                cut = indices.copy()
-            cut[cut.index(v, indptr[u], indptr[u + 1])] = u
-            cut[cut.index(u, indptr[v], indptr[v + 1])] = v
-            dist = bfs_hops(indptr, cut, gw, s, A)
+            if cut is graph:
+                cut = list(graph)
+            cut[u] = [w for w in cut[u] if w != v]
+            cut[v] = [w for w in cut[v] if w != u]
+            dist = bfs_hops(cut, A, gw)
         return None
 
     for site in demand_sites:

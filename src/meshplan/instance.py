@@ -160,6 +160,11 @@ def build_grid_instance(
         [rng.uniform(0.0, width, n_dps), rng.uniform(0.0, height, n_dps)]
     )
     dp_traffic = np.full(n_dps, radio.traffic, dtype=np.float64)
+    M = n_dps * float(np.max(dp_traffic))
+    if math.isinf(M):  # PlanningInstance refuses NaN traffic by name
+        raise InstanceError(
+            f"demand traffic summed over {n_dps} demand points must be finite"
+        )
     return PlanningInstance(
         rows=rows,
         cols=cols,
@@ -173,7 +178,7 @@ def build_grid_instance(
         K=radio.channels,
         C_max=radio.capacity,
         A=radio.max_hops,
-        M=n_dps * float(np.max(dp_traffic)) if n_dps else radio.capacity,
+        M=M,
         seed=seed,
         random_matrix_density=random_matrix_density,
     )

@@ -1,18 +1,18 @@
-"""Numeric kernels: BFS hop counts, Pareto filtering, crowding distance, CSR.
+"""Numeric kernels: BFS hop counts, Pareto filtering, crowding distance,
+neighbour lists.
 
 Plain numpy/Python, one implementation each. Archive bytes depend on the
 exact floating-point summation order of `crowding_distance_kernel` and on
-the ascending neighbor order of `adjacency_csr`; keep both when editing.
+the ascending neighbour order of `adjacency_csr`; keep both when editing.
 
-Hop graphs are small and walked in Python, so `adjacency_csr` builds their
-CSR as Python lists straight from edge lists, and the BFS kernels return lists.
-
-The BFS kernels take an optional hop `limit`: nodes more than `limit` hops
-from the source read UNREACHABLE, exactly as if they were cut off, and every
-node within `limit` hops gets its true hop count. `limit=None` is the full
-BFS. Routing and the C12 check pass the instance hop bound A and rely on this
-exactness: they only read hop counts up to A, and the downhill path walk
-only visits nodes closer to the gateway than its start.
+Every hop search outside construction walks one graph form, the per-node
+ascending neighbour lists that `adjacency_csr` builds from edge lists. The
+BFS kernels take a hop `limit`: nodes more than `limit` hops from the
+source read UNREACHABLE, exactly as if they were cut off, and every node
+within `limit` hops gets its true hop count. Routing and the C12 check pass
+the instance hop bound A and rely on this exactness: they only read hop
+counts up to A, and the downhill path walk only visits nodes closer to the
+gateway than its start.
 """
 
 from __future__ import annotations
@@ -25,18 +25,18 @@ UNREACHABLE = -1
 NUMBA_ENABLED = False
 
 
-def bfs_hops(indptr, indices, source, n, limit=None):
-    """Hop counts from source over a CSR adjacency, as a list; UNREACHABLE
+def bfs_hops(graph, limit, source):
+    """Hop counts from source over neighbour lists, as a list; UNREACHABLE
     where cut off or more than `limit` hops away."""
-    dist = [UNREACHABLE] * n
+    dist = [UNREACHABLE] * len(graph)
     dist[source] = 0
     frontier = [source]
     depth = 0
-    while frontier and (limit is None or depth < limit):
+    while frontier and depth < limit:
         depth += 1
         nxt = []
         for u in frontier:
-            for v in indices[indptr[u]:indptr[u + 1]]:
+            for v in graph[u]:
                 if dist[v] == UNREACHABLE:
                     dist[v] = depth
                     nxt.append(v)
@@ -44,9 +44,9 @@ def bfs_hops(indptr, indices, source, n, limit=None):
     return dist
 
 
-def bfs_hops_multi(indptr, indices, sources, n, limit=None):
+def bfs_hops_multi(graph, limit, sources):
     """One `bfs_hops` list per source, in source order."""
-    return [bfs_hops(indptr, indices, src, n, limit) for src in sources]
+    return [bfs_hops(graph, limit, src) for src in sources]
 
 
 def pareto_mask(values):
@@ -81,18 +81,14 @@ def crowding_distance_kernel(values):
 
 
 def adjacency_csr(n, heads, tails):
-    """Undirected CSR (indptr, indices) lists over n nodes from edge lists.
+    """Undirected neighbour lists over n nodes from edge lists: one list per
+    node, in ascending index order, which downstream tie-breaking relies on.
 
     Each (heads[i], tails[i]) pair links both ways; repeated pairs, in either
-    direction, give one neighbor entry. Neighbor lists come out in ascending
-    index order, which downstream tie-breaking relies on.
+    direction, give one neighbour entry.
     """
     nbrs = [set() for _ in range(n)]
     for u, v in zip(heads, tails):
         nbrs[u].add(v)
         nbrs[v].add(u)
-    indptr, indices = [0], []
-    for row in nbrs:
-        indices.extend(sorted(row))
-        indptr.append(len(indices))
-    return indptr, indices
+    return [sorted(row) for row in nbrs]

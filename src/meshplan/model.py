@@ -345,9 +345,9 @@ def check_constraints(
 
     # C12: every demand site within A established-link hops of a gateway
     # (with no gateway at all, every demand site fails)
-    indptr, indices = adjacency_csr(s, j[L != 0].tolist(), l[L != 0].tolist())
+    graph = adjacency_csr(s, j[L != 0].tolist(), l[L != 0].tolist())
     gateways = np.flatnonzero(solution.gateway == 1).tolist()
-    hops = bfs_hops_multi(indptr, indices, gateways, s, instance.A)
+    hops = bfs_hops_multi(graph, instance.A, gateways)
     bad = [
         (site,) for site in np.flatnonzero(loads > FEAS_TOL).tolist()
         if all(row[site] == UNREACHABLE for row in hops)

@@ -28,7 +28,7 @@ from .instance import (
     coverage_matrix,
     default_gateway_count,
 )
-from .kernels import pareto_mask
+from .kernels import UNREACHABLE, bfs_hops, pareto_mask
 from .model import (
     CandidateRejected,
     FEAS_TOL,
@@ -99,23 +99,19 @@ def _assignments(instance: PlanningInstance, a: np.ndarray, hosts, maximal: bool
     yield from rec(0)
 
 
+def _min_degree_two(nodes: tuple, b: np.ndarray) -> bool:
+    """Every node of `nodes` links to at least two others over b."""
+    return all(sum(1 for u in nodes if u != v and b[v, u]) >= 2 for v in nodes)
+
+
 def _valid_installed(nodes: tuple, b: np.ndarray) -> bool:
     """Connected with minimum degree 2 over the connectivity graph."""
     if not nodes:
         return True
-    node_set = set(nodes)
-    for v in nodes:
-        if sum(1 for u in nodes if u != v and b[v, u]) < 2:
-            return False
-    seen = {nodes[0]}
-    queue = [nodes[0]]
-    while queue:
-        v = queue.pop()
-        for u in nodes:
-            if u not in seen and b[v, u]:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(node_set)
+    if not _min_degree_two(nodes, b):
+        return False
+    graph = [np.flatnonzero(row).tolist() for row in b[np.ix_(nodes, nodes)]]
+    return UNREACHABLE not in bfs_hops(graph, len(nodes), 0)
 
 
 def _edge_configs(nodes: tuple, b: np.ndarray, instance: PlanningInstance):
@@ -272,10 +268,7 @@ def _raw_candidates(instance: PlanningInstance, a, b):
     for roles in product((0, 1, 2), repeat=sites):
         installed = tuple(j for j in range(sites) if roles[j] > 0)
         aps = tuple(j for j in range(sites) if roles[j] == 1)
-        if any(
-            sum(1 for u in installed if u != v and b[v, u]) < 2
-            for v in installed
-        ):
+        if not _min_degree_two(installed, b):
             continue
         for choice, _loads in _assignments(instance, a, installed, maximal=False):
             for links in _edge_configs(installed, b, instance):

@@ -153,6 +153,8 @@ def test_sweep_usage_errors(tmp_path):
     assert main(["sweep", "--values", "1,2", *base]) == 1
     assert main(["sweep", "--axis", "traffic", "--values", "", *base]) == 1
     assert main(["sweep", "--axis", "traffic", "--values", "-1", *base]) == 1
+    assert main(["sweep", "--axis", "traffic", "--values", "nan", *base]) == 1
+    assert main(["sweep", "--axis", "radios", "--values", "0", *base]) == 1
     assert main(["sweep", "--axis", "grid", "--values", "4x4",
                  "--instance", TOY, *FAST, "--out", str(tmp_path)]) == 1
 
@@ -218,14 +220,15 @@ def test_verify_guard_refuses_big_grid(tmp_path):
     assert code == 3
 
 
-def test_verify_rejects_bad_flags_before_oracle(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "flag", [("--swarm", "0"), ("--threshold", "nan")], ids=["swarm", "threshold"]
+)
+def test_verify_rejects_bad_flags_before_oracle(tmp_path, monkeypatch, flag):
     def oracle(*args, **kwargs):
         raise AssertionError("the oracle ran before flag validation")
 
     monkeypatch.setattr(cli, "true_pareto_front", oracle)
-    code = main([
-        "verify", "--instance", TOY, "--swarm", "0", "--out", str(tmp_path),
-    ])
+    code = main(["verify", "--instance", TOY, *flag, "--out", str(tmp_path)])
     assert code == 1
 
 

@@ -19,6 +19,7 @@ from meshplan.flow import (
     MAX_PATH_TRIES,
     RoutingInfeasibleError,
     RoutingTrace,
+    _lex_shortest_path,
     route_flows,
     traces_to_json,
 )
@@ -323,6 +324,15 @@ def test_fan_of_blocked_paths_stops_after_max_path_tries(full):
         )
 
 
+def test_lex_shortest_path_raises_without_downhill_step():
+    graph = [[1], [0, 2], [1]]  # the path 0-1-2
+    assert _lex_shortest_path(graph, [2, 1, 0], 0, 2) == [0, 1, 2]
+    # a hop row that is not a BFS of the graph: site 0's only neighbour is
+    # no closer to gateway 2 than site 0 itself
+    with pytest.raises(StopIteration):
+        _lex_shortest_path(graph, [2, 2, 0], 0, 2)
+
+
 def _reference_route_flows(solution, instance):
     """Routing as specified, written independently of `route_flows`: each
     blocked try rebuilds the hop graph from every site pair not yet dropped
@@ -341,16 +351,14 @@ def _reference_route_flows(solution, instance):
 
     def hops(gw, dropped=()):
         kept = [p for p in pairs if p not in dropped]
-        csr = adjacency_csr(s, [u for u, _ in kept], [v for _, v in kept])
-        return csr, bfs_hops(*csr, gw, s, A)
+        graph = adjacency_csr(s, [u for u, _ in kept], [v for _, v in kept])
+        return graph, bfs_hops(graph, A, gw)
 
-    def walk(csr, dist, site, gw):
-        indptr, indices = csr
+    def walk(graph, dist, site, gw):
         path = [site]
         while path[-1] != gw:
             cur = path[-1]
-            nbrs = indices[indptr[cur]:indptr[cur + 1]]
-            path.append(next(v for v in nbrs if dist[v] == dist[cur] - 1))
+            path.append(next(v for v in graph[cur] if dist[v] == dist[cur] - 1))
         return path
 
     def lowest_row(u, v, demand):
@@ -363,10 +371,10 @@ def _reference_route_flows(solution, instance):
     def route_to(site, gw, demand):
         dropped = set()
         for _ in range(MAX_PATH_TRIES):
-            csr, dist = hops(gw, dropped)
+            graph, dist = hops(gw, dropped)
             if dist[site] == UNREACHABLE:
                 return None
-            path = walk(csr, dist, site, gw)
+            path = walk(graph, dist, site, gw)
             picks = [(u, lowest_row(u, v, demand)) for u, v in zip(path, path[1:])]
             blocked = [i for i, (_, r) in enumerate(picks) if r is None]
             if not blocked:

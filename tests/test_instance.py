@@ -184,6 +184,7 @@ def test_random_matrix_override_is_seeded():
         dict(capacity=float("nan")),
         dict(traffic=float("inf")),
         dict(capacity=float("inf")),
+        dict(traffic=1e308),  # finite, but its sum over the DPs is not
     ],
 )
 def test_radio_params_validation(kwargs):

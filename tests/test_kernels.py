@@ -28,47 +28,46 @@ def _dense(n, heads, tails):
 
 def test_adjacency_csr_ascending_neighbors(rng):
     heads, tails = _random_edges(rng, 12, 40)
-    indptr, indices = adjacency_csr(12, heads, tails)
-    assert isinstance(indptr, list) and isinstance(indices, list)
-    assert indptr[0] == 0 and indptr[-1] == len(indices)
+    graph = adjacency_csr(12, heads, tails)
+    assert isinstance(graph, list) and len(graph) == 12
+    assert all(isinstance(row, list) for row in graph)
     adj = _dense(12, heads, tails)
     for u in range(12):
-        assert indices[indptr[u]:indptr[u + 1]] == np.flatnonzero(adj[u]).tolist()
+        assert graph[u] == np.flatnonzero(adj[u]).tolist()
 
 
 def test_adjacency_csr_empty_graph():
-    assert adjacency_csr(4, [], []) == ([0, 0, 0, 0, 0], [])
+    assert adjacency_csr(4, [], []) == [[], [], [], []]
 
 
 def test_adjacency_csr_merges_duplicates_and_directions():
     # 0-1 given three times in both directions, 2-3 once, a self-loop at 3
-    indptr, indices = adjacency_csr(4, [0, 1, 0, 3, 3], [1, 0, 1, 2, 3])
-    assert indptr == [0, 1, 2, 3, 5]
-    assert indices == [1, 0, 3, 2, 3]
+    graph = adjacency_csr(4, [0, 1, 0, 3, 3], [1, 0, 1, 2, 3])
+    assert graph == [[1], [0], [3], [2, 3]]
 
 
 def test_bfs_hops_path_graph():
-    indptr, indices = adjacency_csr(5, [0, 1, 2, 3], [1, 2, 3, 4])
-    assert bfs_hops(indptr, indices, 0, 5) == [0, 1, 2, 3, 4]
-    assert bfs_hops(indptr, indices, 2, 5) == [2, 1, 0, 1, 2]
+    graph = adjacency_csr(5, [0, 1, 2, 3], [1, 2, 3, 4])
+    assert bfs_hops(graph, 5, 0) == [0, 1, 2, 3, 4]
+    assert bfs_hops(graph, 5, 2) == [2, 1, 0, 1, 2]
 
 
 def test_bfs_hops_disconnected_component():
-    indptr, indices = adjacency_csr(4, [0], [1])
-    assert bfs_hops(indptr, indices, 0, 4) == [0, 1, UNREACHABLE, UNREACHABLE]
+    graph = adjacency_csr(4, [0], [1])
+    assert bfs_hops(graph, 4, 0) == [0, 1, UNREACHABLE, UNREACHABLE]
 
 
 def test_bfs_hops_ignores_self_loops_and_repeats():
-    indptr, indices = adjacency_csr(3, [0, 0, 1, 1, 2], [0, 1, 0, 2, 1])
-    assert bfs_hops(indptr, indices, 0, 3) == [0, 1, 2]
-    assert bfs_hops(indptr, indices, 0, 3, 1) == [0, 1, UNREACHABLE]
+    graph = adjacency_csr(3, [0, 0, 1, 1, 2], [0, 1, 0, 2, 1])
+    assert bfs_hops(graph, 3, 0) == [0, 1, 2]
+    assert bfs_hops(graph, 1, 0) == [0, 1, UNREACHABLE]
 
 
 def test_bfs_hops_multi_stacks_single_source(rng):
-    indptr, indices = adjacency_csr(15, *_random_edges(rng, 15, 25))
+    graph = adjacency_csr(15, *_random_edges(rng, 15, 25))
     sources = [0, 3, 7]
-    multi = bfs_hops_multi(indptr, indices, sources, 15)
-    assert multi == [bfs_hops(indptr, indices, src, 15) for src in sources]
+    multi = bfs_hops_multi(graph, 15, sources)
+    assert multi == [bfs_hops(graph, 15, src) for src in sources]
 
 
 @st.composite
@@ -101,22 +100,22 @@ def _hops_reference(adj, src):
 def test_bounded_bfs_truncates_full_bfs(case):
     n, heads, tails, limit = case
     adj = _dense(n, heads, tails)
-    indptr, indices = adjacency_csr(n, heads, tails)
+    graph = adjacency_csr(n, heads, tails)
     for u in range(n):
-        assert indices[indptr[u]:indptr[u + 1]] == np.flatnonzero(adj[u]).tolist()
-    multi = bfs_hops_multi(indptr, indices, range(n), n, limit)
+        assert graph[u] == np.flatnonzero(adj[u]).tolist()
+    multi = bfs_hops_multi(graph, limit, range(n))
     assert len(multi) == n
     for src in range(n):
-        full = bfs_hops(indptr, indices, src, n)
+        full = bfs_hops(graph, n, src)
         assert full == _hops_reference(adj, src).tolist()
         expected = [UNREACHABLE if d > limit else d for d in full]
-        assert bfs_hops(indptr, indices, src, n, limit) == expected
+        assert bfs_hops(graph, limit, src) == expected
         assert multi[src] == expected
 
 
 def test_bfs_hops_multi_without_sources():
-    indptr, indices = adjacency_csr(3, [], [])
-    assert bfs_hops_multi(indptr, indices, [], 3, 2) == []
+    graph = adjacency_csr(3, [], [])
+    assert bfs_hops_multi(graph, 2, []) == []
 
 
 def test_pareto_mask_matches_dominance(rng):

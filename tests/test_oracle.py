@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -189,6 +190,49 @@ def test_one_labeling_per_class_is_exact(inst):
     assert true_pareto_front(inst, variant="cov") == _front(
         evaluate(sol, full, "cov") for sol, _ in every
     )
+
+
+def _degree_two_reference(nodes, b):
+    return all(sum(1 for u in nodes if u != v and b[v, u]) >= 2 for v in nodes)
+
+
+def _valid_installed_reference(nodes, b):
+    """Minimum degree 2, then connectivity by depth-first search over b."""
+    if not nodes:
+        return True
+    if not _degree_two_reference(nodes, b):
+        return False
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        v = stack.pop()
+        for u in nodes:
+            if u not in seen and b[v, u]:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(nodes)
+
+
+@st.composite
+def symmetric_01(draw):
+    """A symmetric 0/1 matrix with a zero diagonal on at most 6 nodes."""
+    n = draw(st.integers(1, oracle.GUARD_SITES))
+    m = n * (n - 1) // 2
+    b = np.zeros((n, n), dtype=np.uint8)
+    b[np.triu_indices(n, 1)] = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return b | b.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_01())
+def test_installed_set_checks_match_dfs_reference(b):
+    n = len(b)
+    for r in range(n + 1):
+        for nodes in combinations(range(n), r):
+            assert oracle._min_degree_two(nodes, b) == _degree_two_reference(nodes, b)
+            assert oracle._valid_installed(nodes, b) == _valid_installed_reference(
+                nodes, b
+            )
 
 
 def test_enumeration_includes_only_feasible(one_dp_instance):
