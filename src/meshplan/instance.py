@@ -78,10 +78,14 @@ class PlanningInstance:
             raise InstanceError("demand traffic must be positive and finite")
         if not _positive(self.M):
             raise InstanceError("gateway big-M must be positive and finite")
+        if self.seed < 0:
+            raise InstanceError("seed must be >= 0")
         if self.sites.shape != (self.rows * self.cols, 2):
             raise InstanceError("sites array does not match grid shape")
         if self.dp_positions.shape != (len(self.dp_traffic), 2):
             raise InstanceError("demand point arrays disagree on count")
+        if not (np.isfinite(self.sites).all() and np.isfinite(self.dp_positions).all()):
+            raise InstanceError("site and demand point positions must be finite")
         if self.random_matrix_density is not None and not (
             0.0 < self.random_matrix_density <= 1.0
         ):
@@ -244,34 +248,38 @@ def grid_neighbors(instance: PlanningInstance, j: int) -> list[int]:
     return out
 
 
+def _read(source: dict, key: str, kind: type):
+    """source[key] as `kind`; bools, strings and (for int) fractions are refused."""
+    value = source[key]
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        what = "an integer" if kind is int else "a number"
+        raise InstanceError(f"instance field {key!r} must be {what}, not {value!r}")
+    return kind(value)
+
+
+#: The instance file's scalar fields, each with the kind it is read as.
+SCALAR_FIELDS = {
+    "rows": int, "cols": int, "spacing": float,
+    "coverage_radius": float, "backbone_range": float,
+    "R": int, "K": int, "C_max": float, "A": int, "M": float, "seed": int,
+}
+#: The fields of one `link_capacities` entry, in `capacity_overrides` order.
+LINK_FIELDS = {"j": int, "l": int, "k": int, "capacity": float}
+
+
 def instance_to_dict(instance: PlanningInstance) -> dict:
     data = {
         "version": FORMAT_VERSION,
-        "rows": instance.rows,
-        "cols": instance.cols,
-        "spacing": instance.spacing,
+        **{name: getattr(instance, name) for name in SCALAR_FIELDS},
         "sites": [[float(x), float(y)] for x, y in instance.sites],
         "demand_points": [
-            {
-                "x": float(instance.dp_positions[i, 0]),
-                "y": float(instance.dp_positions[i, 1]),
-                "traffic": float(instance.dp_traffic[i]),
-            }
-            for i in range(instance.num_dps)
+            {"x": float(x), "y": float(y), "traffic": float(traffic)}
+            for (x, y), traffic in zip(instance.dp_positions, instance.dp_traffic)
         ],
-        "coverage_radius": instance.coverage_radius,
-        "backbone_range": instance.backbone_range,
-        "R": instance.R,
-        "K": instance.K,
-        "C_max": instance.C_max,
-        "A": instance.A,
-        "M": instance.M,
-        "seed": instance.seed,
     }
     if instance.capacity_overrides:
         data["link_capacities"] = [
-            {"j": j, "l": l, "k": k, "capacity": cap}
-            for j, l, k, cap in instance.capacity_overrides
+            dict(zip(LINK_FIELDS, entry)) for entry in instance.capacity_overrides
         ]
     if instance.random_matrix_density is not None:
         data["random_matrices"] = {"density": instance.random_matrix_density}
@@ -290,44 +298,26 @@ def instance_from_dict(data: dict) -> PlanningInstance:
     version = data.get("version")
     if version != FORMAT_VERSION:
         raise InstanceError(f"unsupported instance format version: {version!r}")
-    required = [
-        "rows", "cols", "spacing", "sites", "demand_points",
-        "coverage_radius", "backbone_range", "R", "K", "C_max", "A", "M", "seed",
-    ]
-    missing = [key for key in required if key not in data]
+    missing = [k for k in (*SCALAR_FIELDS, "sites", "demand_points") if k not in data]
     if missing:
         raise InstanceError(f"instance file missing fields: {', '.join(missing)}")
     try:
-        sites = np.array(data["sites"], dtype=np.float64)
-        if sites.ndim != 2 or sites.shape[1] != 2:
-            raise InstanceError("sites must be a list of [x, y] pairs")
         dps = data["demand_points"]
         dp_positions = np.array([[p["x"], p["y"]] for p in dps], dtype=np.float64)
-        dp_traffic = np.array([p["traffic"] for p in dps], dtype=np.float64)
         if len(dps) == 0:
             dp_positions = dp_positions.reshape(0, 2)
         overrides = tuple(
-            (int(e["j"]), int(e["l"]), int(e["k"]), float(e["capacity"]))
-            for e in data.get("link_capacities", ())
+            tuple(_read(entry, key, kind) for key, kind in LINK_FIELDS.items())
+            for entry in data.get("link_capacities", ())
         )
         density = None
         if "random_matrices" in data:
-            density = float(data["random_matrices"]["density"])
+            density = _read(data["random_matrices"], "density", float)
         return PlanningInstance(
-            rows=int(data["rows"]),
-            cols=int(data["cols"]),
-            spacing=float(data["spacing"]),
-            sites=sites,
+            **{name: _read(data, name, kind) for name, kind in SCALAR_FIELDS.items()},
+            sites=np.array(data["sites"], dtype=np.float64),
             dp_positions=dp_positions,
-            dp_traffic=dp_traffic,
-            coverage_radius=float(data["coverage_radius"]),
-            backbone_range=float(data["backbone_range"]),
-            R=int(data["R"]),
-            K=int(data["K"]),
-            C_max=float(data["C_max"]),
-            A=int(data["A"]),
-            M=float(data["M"]),
-            seed=int(data["seed"]),
+            dp_traffic=np.array([p["traffic"] for p in dps], dtype=np.float64),
             capacity_overrides=overrides,
             random_matrix_density=density,
         )

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import FIXTURES, make_verify2x3_instance
 import meshplan.cli  # noqa: F401  the benchmark's one import; loads the rest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -99,6 +100,20 @@ def test_benchmark_argv_parses(monkeypatch, tmp_path):
             assert (ns.command, ns.seed, ns.workers) == (wl.command, case, 1)
             sent.update(argv)
     assert {"--workers", "--gateways", "--model"} <= sent
+
+
+@pytest.mark.parametrize("source", ["verify2x3", "toy2x2"])
+def test_saved_instance_loads_back(source, tmp_path):
+    # verify2x3 saves its instance with save_instance and loads it inside
+    # every operation, so a reader that refused what the writer writes
+    # would fail every operation of that workload
+    if source == "verify2x3":
+        inst = make_verify2x3_instance()
+    else:
+        inst = meshplan.instance.load_instance(FIXTURES / "toy2x2_instance.json")
+    path = tmp_path / "instance.json"
+    meshplan.instance.save_instance(inst, path)
+    assert meshplan.instance.load_instance(path).content_hash() == inst.content_hash()
 
 
 @pytest.mark.parametrize("name", ["ref6x6", "verify2x3"])

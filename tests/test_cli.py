@@ -325,6 +325,25 @@ def test_instance_file_with_infinite_capacity_exits_one(tmp_path, capsys):
     assert "capacity must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("random_matrices", [None, {"density": 1.0}])
+def test_instance_file_with_negative_seed_exits_one(tmp_path, capsys, random_matrices):
+    # with random matrices the seed reaches numpy's rng, which raises its
+    # own ValueError; without them nothing reads it, so it must be refused
+    # on load
+    data = json.loads(Path(TOY).read_text())
+    data["seed"] = -1
+    if random_matrices:
+        data["random_matrices"] = random_matrices
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    code = main(["plan", "--instance", str(path), *FAST, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == ["meshplan: error: seed must be >= 0"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["plan", "sweep", "compare"])
 def test_out_that_is_a_file_exits_one_before_any_search(
     tmp_path, capsys, monkeypatch, command

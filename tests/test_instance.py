@@ -1,9 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_line_instance, make_square_instance
+from conftest import (
+    make_line_instance,
+    make_square_instance,
+    mixed_traffic_cases,
+    planning_cases,
+)
 from meshplan.instance import (
     InstanceError,
     RadioParams,
@@ -142,6 +150,20 @@ def test_from_dict_rejects_unknown_version(standard_instance):
         ("C_max", "NaN"),
         ("coverage_radius", "NaN"),
         ("M", "NaN"),
+        # non-integral or boolean counts are refused, not truncated
+        ("R", 2.7),
+        ("A", 3.9),
+        ("rows", 3.5),
+        ("seed", 1.5),
+        ("link_capacities", [{"j": 0, "l": 1, "k": 0.9, "capacity": 1.0}]),
+        ("K", True),
+        ("random_matrices", {"density": True}),
+        ("C_max", "54"),
+        ("seed", -1),
+        # non-finite positions, one in a full 6x6 grid and one on a lone DP
+        ("sites", [[float("nan"), 0.0]] + [[float(j % 6), float(j // 6)]
+                                           for j in range(1, 36)]),
+        ("demand_points", [{"x": float("inf"), "y": 0.0, "traffic": 2.0}]),
     ],
 )
 def test_from_dict_rejects_malformed_fields(standard_instance, field, value):
@@ -149,6 +171,31 @@ def test_from_dict_rejects_malformed_fields(standard_instance, field, value):
     data[field] = value
     with pytest.raises(InstanceError):
         instance_from_dict(data)
+
+
+@st.composite
+def overridden_instances(draw):
+    """A planning instance, with or without mixed traffic, plus random
+    capacity overrides; a link may be overridden more than once."""
+    inst = draw(st.one_of(planning_cases(), mixed_traffic_cases()))[0]
+    site = st.integers(0, inst.num_sites - 1)
+    overrides = draw(st.lists(st.tuples(
+        site, site, st.integers(0, inst.K - 1),
+        st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+    ), max_size=6))
+    return dataclasses.replace(inst, capacity_overrides=tuple(overrides), _cache={})
+
+
+@settings(max_examples=100, deadline=None)
+@given(overridden_instances())
+def test_json_round_trip_keeps_random_instances(inst):
+    loaded = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+    assert loaded.content_hash() == inst.content_hash()
+    for name in ("sites", "dp_positions", "dp_traffic"):
+        assert np.array_equal(getattr(loaded, name), getattr(inst, name))
+    assert np.array_equal(coverage_matrix(loaded), coverage_matrix(inst))
+    assert np.array_equal(connectivity_matrix(loaded), connectivity_matrix(inst))
+    assert loaded.link_capacities() == inst.link_capacities()
 
 
 def test_load_instance_rejects_unreadable_files(tmp_path):
