@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -37,16 +36,6 @@ from .model import (
 )
 from .mopso import MopsoConfig, format_cell, run, stats_to_csv
 from .oracle import GuardError, true_pareto_front, verify_archive
-
-METRIC_COLUMNS = (
-    "aps",
-    "relays",
-    "gateways",
-    "total",
-    "coverage",
-    "link_residual",
-    "gateway_balance",
-)
 
 
 class UsageError(Exception):
@@ -271,7 +260,7 @@ def _summary_text(result, instance) -> str:
         f"evaluations: {result.evaluations}",
         f"archive size: {len(result.archive)}",
         "cheapest solution: "
-        + ", ".join(f"{key}={format_cell(metrics[key])}" for key in METRIC_COLUMNS),
+        + ", ".join(f"{key}={format_cell(value)}" for key, value in metrics.items()),
     ]
     return "\n".join(lines) + "\n"
 
@@ -298,13 +287,16 @@ def cmd_plan(ns) -> int:
 
 def _write_table(ns, name: str, columns: str, runs: list) -> int:
     """Search once per (sort key, leading cells, instance, config); write the
-    cells and the cheapest plan's metrics to <out>/<name>.csv in key order."""
+    cells and the cheapest plan's metrics to <out>/<name>.csv in key order.
+
+    `runs` is never empty; the metric header is the last metrics dict's keys.
+    """
     path = _out_dir(ns) / f"{name}.csv"
     rows = []
     for key, cells, instance, config in runs:
         metrics = solution_metrics(run(instance, config).incumbent, instance)
-        rows.append((key, [*cells, *(format_cell(metrics[k]) for k in METRIC_COLUMNS)]))
-    lines = [",".join([columns, *METRIC_COLUMNS])]
+        rows.append((key, [*cells, *map(format_cell, metrics.values())]))
+    lines = [",".join([columns, *metrics])]
     lines += [",".join(cells) for _, cells in sorted(rows, key=lambda r: r[0])]
     path.write_text("\n".join(lines) + "\n")
     print(f"{name}: {len(rows)} rows written to {path}")
@@ -370,8 +362,8 @@ def cmd_verify(ns) -> int:
             "verify takes only --gateways auto: the oracle's front uses the "
             "demand-budget gateway count, which a fixed count does not search"
         )
-    if math.isnan(ns.threshold):
-        raise UsageError("--threshold must be a number, not NaN")
+    if not 0 <= ns.threshold <= 1:
+        raise UsageError(f"--threshold must lie in [0, 1], not {ns.threshold}")
     truth = true_pareto_front(
         instance, variant=config.variant, coverage_mode=config.coverage_mode
     )

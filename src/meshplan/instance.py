@@ -57,7 +57,7 @@ class PlanningInstance:
     seed: int
     capacity_overrides: tuple = ()          # ((j, l, k, capacity), ...)
     random_matrix_density: float | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -248,12 +248,11 @@ def grid_neighbors(instance: PlanningInstance, j: int) -> list[int]:
     return out
 
 
-def _read(source: dict, key: str, kind: type):
-    """source[key] as `kind`; bools, strings and (for int) fractions are refused."""
-    value = source[key]
+def _read(value, kind: type, name: str):
+    """A field's value as `kind`; bools, strings and (for int) fractions are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         what = "an integer" if kind is int else "a number"
-        raise InstanceError(f"instance field {key!r} must be {what}, not {value!r}")
+        raise InstanceError(f"instance field {name!r} must be {what}, not {value!r}")
     return kind(value)
 
 
@@ -270,7 +269,7 @@ LINK_FIELDS = {"j": int, "l": int, "k": int, "capacity": float}
 def instance_to_dict(instance: PlanningInstance) -> dict:
     data = {
         "version": FORMAT_VERSION,
-        **{name: getattr(instance, name) for name in SCALAR_FIELDS},
+        **{k: kind(getattr(instance, k)) for k, kind in SCALAR_FIELDS.items()},
         "sites": [[float(x), float(y)] for x, y in instance.sites],
         "demand_points": [
             {"x": float(x), "y": float(y), "traffic": float(traffic)}
@@ -303,27 +302,28 @@ def instance_from_dict(data: dict) -> PlanningInstance:
         raise InstanceError(f"instance file missing fields: {', '.join(missing)}")
     try:
         dps = data["demand_points"]
-        dp_positions = np.array([[p["x"], p["y"]] for p in dps], dtype=np.float64)
-        if len(dps) == 0:
-            dp_positions = dp_positions.reshape(0, 2)
         overrides = tuple(
-            tuple(_read(entry, key, kind) for key, kind in LINK_FIELDS.items())
+            tuple(_read(entry[key], kind, key) for key, kind in LINK_FIELDS.items())
             for entry in data.get("link_capacities", ())
         )
         density = None
         if "random_matrices" in data:
-            density = _read(data["random_matrices"], "density", float)
+            density = _read(data["random_matrices"]["density"], float, "density")
         return PlanningInstance(
-            **{name: _read(data, name, kind) for name, kind in SCALAR_FIELDS.items()},
-            sites=np.array(data["sites"], dtype=np.float64),
-            dp_positions=dp_positions,
-            dp_traffic=np.array([p["traffic"] for p in dps], dtype=np.float64),
+            **{k: _read(data[k], kind, k) for k, kind in SCALAR_FIELDS.items()},
+            sites=np.array(
+                [[_read(v, float, "sites") for v in pair] for pair in data["sites"]]
+            ),
+            dp_positions=np.array(
+                [[_read(p[c], float, c) for c in "xy"] for p in dps]
+            ).reshape(-1, 2),
+            dp_traffic=np.array([_read(p["traffic"], float, "traffic") for p in dps]),
             capacity_overrides=overrides,
             random_matrix_density=density,
         )
     except InstanceError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"invalid instance field: {exc}") from exc
 
 

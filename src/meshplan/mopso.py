@@ -29,22 +29,12 @@ from .model import (
     Solution,
     VARIANTS,
     check_constraints,
-    dominates,
     evaluate,
     parse_variant,
 )
 
 #: Archive prefix eligible as recombination leaders after the crowding sort.
 LEADER_POOL = 5
-
-STATS_COLUMNS = (
-    "generation",
-    "archive_size",
-    "min_cost",
-    "max_coverage",
-    "max_link_residual",
-    "min_gateway_balance",
-)
 
 
 @dataclass
@@ -89,10 +79,11 @@ class ArchiveEntry:
 class ParetoArchive:
     """Bounded nondominated set with crowding-distance pruning.
 
-    Entries keep discovery order; a duplicate objective vector is rejected,
-    a dominated candidate is rejected, and an accepted candidate evicts the
-    entries it dominates. Over capacity, the entry with the smallest
-    crowding distance goes (ties evict the later entry).
+    Entries keep discovery order. A candidate is rejected when some entry is
+    no worse in every objective: that entry equals it or dominates it. An
+    accepted candidate evicts the entries it dominates. Over capacity, the
+    entry with the smallest crowding distance goes (ties evict the later
+    entry).
     """
 
     def __init__(self, capacity: int):
@@ -114,15 +105,14 @@ class ParetoArchive:
 
     def update(self, solution: Solution, objectives: np.ndarray, seq: int) -> bool:
         vec = np.asarray(objectives, dtype=np.float64)
-        for entry in self.entries:
-            if np.array_equal(entry.objectives, vec):
+        if self.entries:
+            m = self.objectives_matrix()
+            if (m <= vec).all(1).any():
                 return False
-        for entry in self.entries:
-            if dominates(entry.objectives, vec):
-                return False
-        self.entries = [
-            e for e in self.entries if not dominates(vec, e.objectives)
-        ]
+            # no entry equals vec now, so one that vec is <= in every
+            # objective is one that vec dominates
+            beaten = (vec <= m).all(1)
+            self.entries = [e for e, out in zip(self.entries, beaten) if not out]
         self.entries.append(ArchiveEntry(solution, vec, seq))
         if len(self.entries) > self.capacity:
             cds = self.crowding_distances()
@@ -233,6 +223,7 @@ class MopsoResult:
 
 
 def _generation_stats(generation: int, archive: ParetoArchive, names) -> dict:
+    """One stats.csv row; its key order is the file's column order."""
     m = archive.objectives_matrix()
     row = {
         "generation": generation,
@@ -259,9 +250,10 @@ def format_cell(value) -> str:
 
 
 def stats_to_csv(stats: list[dict]) -> str:
-    """Fixed-column CSV text; absent objectives render as empty fields."""
-    lines = [",".join(STATS_COLUMNS)]
-    lines += [",".join(format_cell(row[col]) for col in STATS_COLUMNS) for row in stats]
+    """CSV text with the first row's keys as header; absent objectives
+    render as empty fields."""
+    lines = [",".join(stats[0])]
+    lines += [",".join(map(format_cell, row.values())) for row in stats]
     return "\n".join(lines) + "\n"
 
 

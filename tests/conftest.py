@@ -77,7 +77,7 @@ def mixed_traffic_cases(draw):
         min_size=inst.num_dps, max_size=inst.num_dps,
     )))
     inst = dataclasses.replace(
-        inst, dp_traffic=traffic, M=inst.num_dps * float(traffic.max()), _cache={},
+        inst, dp_traffic=traffic, M=inst.num_dps * float(traffic.max()),
     )
     return inst, gateway_count, seed
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, make_verify2x3_instance
 from meshplan import cli, construct
 from meshplan.cli import main
 from meshplan.instance import RadioParams, build_grid_instance, save_instance
@@ -137,6 +137,25 @@ def test_sweep_schema_and_order(tmp_path):
     ]
 
 
+def test_report_metric_columns_exact(tmp_path):
+    """The summary's cheapest-plan line and the sweep and compare headers,
+    as text: metric names, their order and their formatting."""
+    args = ["--grid", "4x4", "--dps", "30", *FAST, "--out", str(tmp_path)]
+    assert main(["plan", *args]) == 0
+    assert main(["sweep", "--axis", "traffic", "--values", "2", *args]) == 0
+    assert main(["compare", "--models", "cov,lglb", *args]) == 0
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert summary[-1] == (
+        "cheapest solution: aps=9, relays=6, gateways=2, total=17, coverage=30, "
+        "link_residual=32, gateway_balance=5.489383693"
+    )
+    metrics = "aps,relays,gateways,total,coverage,link_residual,gateway_balance"
+    sweep = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert sweep[0] == "axis,value,seed," + metrics
+    compare = (tmp_path / "compare.csv").read_text().splitlines()
+    assert compare[0] == "variant,grid,seed," + metrics
+
+
 def test_sweep_grid_axis(tmp_path):
     out = tmp_path / "sweep"
     code = main([
@@ -204,13 +223,39 @@ def test_verify_golden_stdout(tmp_path, capsys):
     assert hashlib.sha256(printed.encode()).hexdigest() == GOLDEN_VERIFY_STDOUT
 
 
-def test_verify_unreachable_threshold_fails(tmp_path, capsys):
+def test_verify_unreachable_threshold_fails(tmp_path, capsys, monkeypatch):
+    # The toy's front is one point, so its coverage is 0 or 1 and no threshold
+    # in [0, 1] decides a verdict there. A second front point that costs 100
+    # is never found, which holds coverage at 1/2 with every archive point on
+    # the front.
+    true_front = cli.true_pareto_front
+
+    def front(*args, **kwargs):
+        return [*true_front(*args, **kwargs), (100.0, -100.0, 0.0, 0.0)]
+
+    monkeypatch.setattr(cli, "true_pareto_front", front)
     code = main([
         "verify", "--instance", TOY, "--swarm", "12", "--gmax", "10",
-        "--seed", "0", "--threshold", "1.5", "--out", str(tmp_path),
+        "--seed", "0", "--threshold", "1", "--out", str(tmp_path),
     ])
     assert code == 2
-    assert "verdict: fail" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "on_front_fraction: 1\nfront_coverage_fraction: 0.5\n" in printed
+    assert "verdict: fail" in printed
+
+
+def test_verify_reports_dominated_archive_points(tmp_path, capsys):
+    # one particle for one generation misses the verify2x3 front
+    path = tmp_path / "verify2x3.json"
+    save_instance(make_verify2x3_instance(), path)
+    code = main([
+        "verify", "--instance", str(path), "--swarm", "1", "--gmax", "1",
+        "--seed", "0", "--out", str(tmp_path),
+    ])
+    printed = capsys.readouterr().out
+    assert code == 2, printed
+    assert printed.count("  dominated: ") == 1
+    assert "violations: 1\n" in printed and "verdict: fail" in printed
 
 
 def test_verify_guard_refuses_big_grid(tmp_path):
@@ -221,7 +266,10 @@ def test_verify_guard_refuses_big_grid(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag", [("--swarm", "0"), ("--threshold", "nan")], ids=["swarm", "threshold"]
+    "flag",
+    [("--swarm", "0"), ("--threshold", "nan"),
+     ("--threshold", "-1"), ("--threshold", "1.5")],
+    ids=["swarm", "threshold", "threshold-below-0", "threshold-above-1"],
 )
 def test_verify_rejects_bad_flags_before_oracle(tmp_path, monkeypatch, flag):
     def oracle(*args, **kwargs):

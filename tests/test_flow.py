@@ -446,7 +446,7 @@ def link_tables(draw):
         st.sampled_from([1.0, 2.0, 3.0, 4.0]), min_size=s, max_size=s,
     )))
     inst = dataclasses.replace(
-        inst, dp_traffic=traffic, capacity_overrides=tuple(overrides), _cache={},
+        inst, dp_traffic=traffic, capacity_overrides=tuple(overrides),
     )
     sol = Solution.empty(inst)
     site = st.integers(0, s - 1)

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -164,6 +164,22 @@ def test_from_dict_rejects_unknown_version(standard_instance):
         ("sites", [[float("nan"), 0.0]] + [[float(j % 6), float(j // 6)]
                                            for j in range(1, 36)]),
         ("demand_points", [{"x": float("inf"), "y": 0.0, "traffic": 2.0}]),
+        # strings and bools in positions and traffic are refused, not cast
+        ("demand_points", [{"x": "0.05", "y": 0.0, "traffic": 2.0}]),
+        ("demand_points", [{"x": 0.0, "y": 0.0, "traffic": True}]),
+        ("sites", [["0", False]] + [[float(j % 6), float(j // 6)]
+                                    for j in range(1, 36)]),
+        pytest.param("C_max", 10**400, id="C_max-int-beyond-float"),
+        # well-formed values that PlanningInstance refuses
+        ("rows", 0),
+        ("spacing", 0.0),
+        ("coverage_radius", -1.0),
+        ("M", 0.0),
+        ("sites", [[0.0, 0.0]]),
+        ("random_matrices", {"density": 1.5}),
+        ("link_capacities", [{"j": 0, "l": 36, "k": 0, "capacity": 1.0}]),
+        ("link_capacities", [{"j": 0, "l": 1, "k": 11, "capacity": 1.0}]),
+        ("link_capacities", [{"j": 0, "l": 1, "k": 0, "capacity": 0.0}]),
     ],
 )
 def test_from_dict_rejects_malformed_fields(standard_instance, field, value):
@@ -171,6 +187,25 @@ def test_from_dict_rejects_malformed_fields(standard_instance, field, value):
     data[field] = value
     with pytest.raises(InstanceError):
         instance_from_dict(data)
+
+
+def test_from_dict_names_missing_fields(standard_instance):
+    data = instance_to_dict(standard_instance)
+    del data["R"], data["sites"]
+    with pytest.raises(InstanceError, match="missing fields: R, sites"):
+        instance_from_dict(data)
+
+
+def test_demand_arrays_must_agree_on_count(standard_instance):
+    with pytest.raises(InstanceError, match="disagree on count"):
+        dataclasses.replace(standard_instance, dp_traffic=np.ones(3))
+
+
+def test_replace_derives_views_afresh():
+    inst = build_grid_instance(3, 3, 10, RadioParams(), 0)
+    assert coverage_matrix(inst).sum() == 30
+    wider = dataclasses.replace(inst, coverage_radius=3.0)
+    assert coverage_matrix(wider).sum() == 90
 
 
 @st.composite
@@ -183,11 +218,13 @@ def overridden_instances(draw):
         site, site, st.integers(0, inst.K - 1),
         st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
     ), max_size=6))
-    return dataclasses.replace(inst, capacity_overrides=tuple(overrides), _cache={})
+    return dataclasses.replace(inst, capacity_overrides=tuple(overrides))
 
 
 @settings(max_examples=100, deadline=None)
 @given(overridden_instances())
+# integer C_max and spacing, which the file holds as floats
+@example(build_grid_instance(3, 3, 5, RadioParams(capacity=8), 0, spacing=1))
 def test_json_round_trip_keeps_random_instances(inst):
     loaded = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
     assert loaded.content_hash() == inst.content_hash()
@@ -201,7 +238,9 @@ def test_json_round_trip_keeps_random_instances(inst):
 def test_load_instance_rejects_unreadable_files(tmp_path):
     garbled = tmp_path / "garbled.json"
     garbled.write_bytes(b"\xff\xfe not json")
-    for path in (tmp_path / "missing.json", tmp_path, garbled):
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2]\n")  # valid JSON, but not an object
+    for path in (tmp_path / "missing.json", tmp_path, garbled, listed):
         with pytest.raises(InstanceError):
             load_instance(path)
 

@@ -407,6 +407,26 @@ def test_solution_from_dict_rejects_out_of_range_indices(feasible, key, entry):
         solution_from_dict(data)
 
 
+def _gateway_off_network(data):
+    # uninstall an access point, but keep a gateway flag on its site
+    site = data["ap"][0]
+    data["ap"].remove(site)
+    data["z"].remove(site)
+    data["gateway"].append(site)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data["z"].pop(), "installed-site list disagrees with roles"),
+    (lambda data: data["relay"].append(data["ap"][0]), "both access point and relay"),
+    (_gateway_off_network, "gateway flag on a site that is not installed"),
+], ids=["installed-list", "ap-and-relay", "gateway-not-installed"])
+def test_solution_from_dict_rejects_inconsistent_roles(feasible, edit, message):
+    data = solution_to_dict(feasible)
+    edit(data)
+    with pytest.raises(SolutionFormatError, match=message):
+        solution_from_dict(data)
+
+
 @pytest.mark.parametrize("z", [None, 5])
 def test_solution_from_dict_rejects_malformed_installed_list(feasible, z):
     data = solution_to_dict(feasible)

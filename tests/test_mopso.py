@@ -106,6 +106,45 @@ def test_archive_capacity_evicts_least_crowded():
     assert (1.0, -1.0) in kept and (4.0, -4.0) in kept
 
 
+class ThreePassArchive(ParetoArchive):
+    """The admission rule as three passes over the entries (duplicates,
+    dominating entries, then the entries the candidate dominates): the
+    reference `ParetoArchive.update` must match."""
+
+    def update(self, solution, objectives, seq):
+        vec = np.asarray(objectives, dtype=np.float64)
+        if any(np.array_equal(e.objectives, vec) for e in self.entries):
+            return False
+        if any(dominates(e.objectives, vec) for e in self.entries):
+            return False
+        self.entries = [e for e in self.entries if not dominates(vec, e.objectives)]
+        self.entries.append(mopso.ArchiveEntry(solution, vec, seq))
+        if len(self.entries) > self.capacity:
+            cds = self.crowding_distances()
+            del self.entries[len(cds) - 1 - int(np.argmin(cds[::-1]))]
+        return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, 3), min_size=k, max_size=k), max_size=40,
+    )),
+    st.integers(1, 6),
+)
+def test_archive_update_matches_three_pass_reference(vectors, capacity):
+    """Small integer objectives make duplicates, ties and crowding evictions
+    common."""
+    archive, reference = ParetoArchive(capacity), ThreePassArchive(capacity)
+    for seq, vec in enumerate(vectors):
+        vec = np.array(vec, dtype=np.float64)
+        sol = _entry_sol()
+        assert archive.update(sol, vec, seq) == reference.update(sol, vec, seq)
+    assert [(e.objectives.tolist(), e.seq) for e in archive.entries] == [
+        (e.objectives.tolist(), e.seq) for e in reference.entries
+    ]
+
+
 def test_archive_sort_by_crowding_descending():
     archive = ParetoArchive(capacity=10)
     points = [(1.0, -1.0), (2.0, -2.0), (2.5, -2.4), (4.0, -4.0)]

@@ -30,7 +30,7 @@ def every_labeling(instance):
     of one per relabeling class, so this copy takes the full path.
     """
     return dataclasses.replace(
-        instance, capacity_overrides=((0, 1, 0, instance.C_max),), _cache={}
+        instance, capacity_overrides=((0, 1, 0, instance.C_max),)
     )
 
 
