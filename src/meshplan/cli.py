@@ -28,6 +28,7 @@ from .instance import (
     load_instance,
 )
 from .model import (
+    COVERAGE_MODES,
     CandidateRejected,
     VARIANTS,
     parse_variant,
@@ -81,7 +82,7 @@ def _add_command(subs, name: str, func, summary: str) -> _Parser:
                      help="gateway hop bound")
     sub.add_argument("--model", choices=sorted(VARIANTS), default=MopsoConfig.variant,
                      help="objective variant")
-    sub.add_argument("--coverage-mode", choices=("assigned", "literal"),
+    sub.add_argument("--coverage-mode", choices=COVERAGE_MODES,
                      default=MopsoConfig.coverage_mode, help="coverage objective")
     sub.add_argument("--gateways", type=_gateway_count, default="auto",
                      help="gateway count, or 'auto' for the demand budget")
@@ -100,8 +101,6 @@ def _add_command(subs, name: str, func, summary: str) -> _Parser:
     sub.add_argument("--random-matrices", type=float, nargs="?", const=0.5,
                      help="replace geometry with seeded random coverage/connectivity"
                           " matrices of the given density (%(const)s if none given)")
-    sub.add_argument("--recombine", action="store_true", default=MopsoConfig.recombine,
-                     help="enable archive-guided recombination before mutation")
     sub.add_argument("--config", help="JSON object of flag values; explicit flags win")
     return sub
 
@@ -204,7 +203,6 @@ def _build_config(ns, seed, variant=None) -> MopsoConfig:
         variant=variant if variant is not None else ns.model,
         coverage_mode=ns.coverage_mode,
         gateway_count=ns.gateways,
-        recombine=ns.recombine,
     )
     try:
         config.validate()
@@ -294,7 +292,11 @@ def _write_table(ns, name: str, columns: str, runs: list) -> int:
     path = _out_dir(ns) / f"{name}.csv"
     rows = []
     for key, cells, instance, config in runs:
-        metrics = solution_metrics(run(instance, config).incumbent, instance)
+        try:
+            result = run(instance, config)
+        except ConstructionInfeasibleError as exc:
+            raise ConstructionInfeasibleError(f"{','.join(cells)}: {exc}") from exc
+        metrics = solution_metrics(result.incumbent, instance)
         rows.append((key, [*cells, *map(format_cell, metrics.values())]))
     lines = [",".join([columns, *metrics])]
     lines += [",".join(cells) for _, cells in sorted(rows, key=lambda r: r[0])]

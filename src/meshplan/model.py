@@ -37,6 +37,9 @@ VARIANTS = {
     "lglb": (COST, COVERAGE, LINK, GATEWAY),
 }
 
+#: What the coverage objective counts: assigned DPs, or (DP, relay) cover pairs.
+COVERAGE_MODES = ("assigned", "literal")
+
 
 class SolutionFormatError(ValueError):
     """Malformed or inconsistent solution file."""

@@ -4,8 +4,7 @@ The loop follows the planner's published shape: a swarm of feasible
 solutions, per-generation mutation (random AP removal and gateway flag
 moves) followed by reconstruction, and an external Pareto archive pruned by
 crowding distance. There is no velocity model; exploration comes entirely
-from the randomized rebuild. An optional recombination step (crossing a
-particle with an archive leader's AP set) is available behind a flag.
+from the randomized rebuild.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from .construct import (
 from .instance import PlanningInstance
 from .kernels import crowding_distance_kernel
 from .model import (
+    COVERAGE_MODES,
     CandidateRejected,
     GATEWAY,
     LINK,
@@ -32,9 +32,6 @@ from .model import (
     evaluate,
     parse_variant,
 )
-
-#: Archive prefix eligible as recombination leaders after the crowding sort.
-LEADER_POOL = 5
 
 
 @dataclass
@@ -49,7 +46,6 @@ class MopsoConfig:
     variant: str = "lglb"
     coverage_mode: str = "assigned"
     gateway_count: int | None = None
-    recombine: bool = False
 
     def validate(self) -> None:
         if self.swarm_size < 1:
@@ -62,7 +58,7 @@ class MopsoConfig:
             raise ValueError("archive_capacity must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.coverage_mode not in ("assigned", "literal"):
+        if self.coverage_mode not in COVERAGE_MODES:
             raise ValueError(f"unknown coverage mode: {self.coverage_mode!r}")
         if self.gateway_count is not None and self.gateway_count < 1:
             raise ValueError("gateway count must be >= 1")
@@ -187,24 +183,6 @@ def mutate_solution(
     return fallback
 
 
-def _recombine(
-    base: Solution,
-    leaders: list[Solution],
-    instance: PlanningInstance,
-    rng: np.random.Generator,
-) -> Solution:
-    """Cross the particle's AP set with a random archive leader's."""
-    leader = leaders[rng.integers(len(leaders))]
-    child = Solution.empty(instance)
-    both = base.ap & leader.ap
-    only = (base.ap | leader.ap) & (1 - both)
-    keep = (rng.random(instance.num_sites) < 0.5).astype(np.uint8)
-    child.ap = both | (only & keep)
-    child.relay = base.relay & (1 - child.ap)
-    child.gateway = base.gateway & child.z
-    return child
-
-
 @dataclass
 class MopsoResult:
     """Everything a run produces: front, per-generation stats, incumbent.
@@ -262,8 +240,8 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
 
     Deterministic for a given (instance, config): particle i of generation g
     draws only from its own stream (seed, g, i). A step reads only its own
-    particle and leaders fixed before the generation, and each candidate is
-    offered to the archive as soon as it is evaluated, in particle order.
+    particle, and each candidate is offered to the archive as soon as it is
+    evaluated, in particle order.
 
     The run keeps one `Outcomes` memo of checked plans for its mutations,
     bounded by `archive_capacity` (no more plans than the archive may keep),
@@ -277,7 +255,6 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
     outcomes = Outcomes(config.archive_capacity)
     particles: list[Solution | None] = [None] * config.swarm_size
     vectors: list[np.ndarray | None] = [None] * config.swarm_size
-    leaders: list[Solution] = []
     stats: list[dict] = []
     seq = 0
     incumbent: Solution | None = None
@@ -286,9 +263,8 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
 
     for g in range(1, config.gmax + 1):
         if g > 1:
+            # sets archive.json's entry order and the eviction tie-break
             archive.sort_by_crowding()
-            if config.recombine:
-                leaders = [e.solution for e in archive.entries[:LEADER_POOL]]
         for i in range(config.swarm_size):
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, g, i]))
             if g == 1:
@@ -296,11 +272,8 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
                     instance, rng, gateway_count=config.gateway_count
                 )
             else:
-                base = particles[i]
-                if leaders:
-                    base = _recombine(base, leaders, instance, rng)
                 sol = mutate_solution(
-                    base, particles[i], instance, rng, config.mut,
+                    particles[i], particles[i], instance, rng, config.mut,
                     config.gateway_count, outcomes=outcomes,
                 )
             if sol is not particles[i]:

@@ -14,6 +14,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURES, make_verify2x3_instance
@@ -77,6 +78,33 @@ def test_failure_counters_name_rejection_classes():
         if isinstance(obj, type) and issubclass(obj, meshplan.model.CandidateRejected)
     }
     assert names - rejections <= {"ValueError"}
+
+
+def test_tracer_counts_fallback_as_second_argument(standard_instance, monkeypatch):
+    # the tracer counts a mutation as a fallback when it returns its second
+    # argument, so mutate_solution keeps a (base, fallback, ...) signature
+    tracer = _load("tracer", monkeypatch)
+    plan = meshplan.construct.construct_feasible(
+        standard_instance, np.random.default_rng(0)
+    )
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        out = meshplan.mopso.mutate_solution(
+            plan, plan, standard_instance, np.random.default_rng(0), mut=0.0,
+            outcomes=meshplan.construct.Outcomes(8),
+        )
+        assert out is plan
+        assert spans.counts["mopso.mutate_solution.fallbacks"] == 1
+        other = plan.copy()
+        out = meshplan.mopso.mutate_solution(
+            plan, other, standard_instance, np.random.default_rng(0), mut=0.0,
+            outcomes=meshplan.construct.Outcomes(8),
+        )
+    finally:
+        spans.uninstall()
+    assert out is other
+    assert spans.counts["mopso.mutate_solution.fallbacks"] == 2
 
 
 def test_numba_flag_exists():

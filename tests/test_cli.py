@@ -65,8 +65,7 @@ def test_plan_dump_routes(tmp_path):
 #: sha256 of fixed `plan` runs' artifacts. Any change to these bytes changes
 #: what users get for a fixed seed and must be deliberate. The 4x4 run takes
 #: 30 generations of mutation, about a third of whose attempts leave the
-#: parent plan unchanged. The `--recombine` run is the one that crosses
-#: particles with archive leaders.
+#: parent plan unchanged.
 GOLDEN_PLANS = [
     (
         ["plan", "--grid", "6x6", "--dps", "200", "--swarm", "20", "--gmax", "5",
@@ -83,14 +82,6 @@ GOLDEN_PLANS = [
         {
             "archive.json": "8c478d966e17d6b63d1a818b6421404157b1565b35632a2050ba2248b03f1aa0",
             "stats.csv": "bf5b22c0fd541221574481f513f37d62f9d03c847c095b3172d3c5978f937844",
-        },
-    ),
-    (
-        ["plan", "--grid", "6x6", "--dps", "200", "--swarm", "20", "--gmax", "10",
-         "--recombine", "--seed", "0"],
-        {
-            "archive.json": "9fb28466a806de850689e856dc0d4cd5ffdd441c99e730467c62d698a7dffdcf",
-            "stats.csv": "f71cb7e2a58125d7271332d37db0da7de75d26df0a03abc2042cb7f09502dc32",
         },
     ),
 ]
@@ -176,6 +167,22 @@ def test_sweep_usage_errors(tmp_path):
     assert main(["sweep", "--axis", "radios", "--values", "0", *base]) == 1
     assert main(["sweep", "--axis", "grid", "--values", "4x4",
                  "--instance", TOY, *FAST, "--out", str(tmp_path)]) == 1
+
+
+def test_infeasible_table_row_is_named(tmp_path, capsys):
+    # traffic 60 exceeds the site capacity 54 at every demand point
+    code = main([
+        "sweep", "--axis", "traffic", "--values", "2,60", "--grid", "4x4",
+        "--dps", "30", "--swarm", "2", "--gmax", "2", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "infeasible: traffic,60,0: no demand point" in capsys.readouterr().err
+    code = main([
+        "compare", "--models", "cov,llb", "--grid", "4x4", "--dps", "30",
+        "--capacity", "1", *FAST, "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "infeasible: cov,4x4,3: no demand point" in capsys.readouterr().err
 
 
 def test_compare_schema(tmp_path):
@@ -424,6 +431,16 @@ def test_unknown_flag_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_removed_recombine_flag_exits_one(tmp_path, capsys):
+    # recombination is gone; a run that asks for it must not quietly mutate
+    out = tmp_path / "run"
+    code = main(["plan", "--recombine", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_file_provides_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": "4x4", "dps": 40, "swarm": 6, "gmax": 5}))
@@ -476,7 +493,7 @@ def test_config_switches_nulls_and_other_commands_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "grid": "4x4", "dps": 40, "swarm": 6, "gmax": 5,
-        "dump_routes": True, "recombine": False, "random_matrices": None,
+        "dump_routes": True, "random_matrices": None,
         "threshold": 0.9, "models": "cov,glb", "config": "ignored.json",
     }))
     out = tmp_path / "run"
@@ -486,15 +503,18 @@ def test_config_switches_nulls_and_other_commands_keys(tmp_path):
 
 @pytest.mark.parametrize(
     "entry",
-    [{"swarm": 6.5}, {"recombine": "no"}, {"model": "nope"}, {"dps": True}],
-    ids=["float-for-int", "word-for-switch", "bad-choice", "switch-for-value"],
+    [{"swarm": 6.5}, {"dump_routes": "no"}, {"model": "nope"}, {"dps": True},
+     {"recombine": True}],
+    ids=["float-for-int", "word-for-switch", "bad-choice", "switch-for-value",
+         "removed-switch"],
 )
 def test_config_values_parse_like_flags(tmp_path, capsys, entry):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(entry))
     code = main(["plan", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
     assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert err.count("\n") == 1 and "error" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 

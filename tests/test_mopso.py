@@ -224,29 +224,6 @@ def test_mutation_unchanged_plan_returns_parent(standard_instance, rng, monkeypa
     assert out is plan
 
 
-def test_mutation_rebuilds_recombined_base(standard_instance, rng, monkeypatch):
-    plan = construct_feasible(standard_instance, rng)
-    leader = construct_feasible(standard_instance, rng)
-    child_rng = np.random.default_rng(0)
-    base = mopso._recombine(plan, [leader], standard_instance, child_rng)
-    assert not all(
-        np.array_equal(getattr(base, name), getattr(plan, name))
-        for name in ("ap", "relay", "gateway", "x")
-    )
-    real_rebuild = mopso.rebuild_pipeline
-    rebuilt = []
-
-    def rebuild(*args):
-        rebuilt.append(real_rebuild(*args))
-        return rebuilt[-1]
-
-    monkeypatch.setattr(mopso, "rebuild_pipeline", rebuild)
-    out = mutate_solution(base, plan, standard_instance, child_rng, mut=0.0,
-                          outcomes=Outcomes(8))
-    assert rebuilt and out is rebuilt[-1]
-    assert_feasible(out, standard_instance)
-
-
 def test_config_validation():
     MopsoConfig().validate()
     with pytest.raises(ValueError):
@@ -259,6 +236,14 @@ def test_config_validation():
         MopsoConfig(variant="bogus").validate()
     with pytest.raises(ValueError):
         MopsoConfig(archive_capacity=0).validate()
+    with pytest.raises(ValueError):
+        MopsoConfig(coverage_mode="bogus").validate()
+    with pytest.raises(ValueError):
+        MopsoConfig(gateway_count=0).validate()
+    with pytest.raises(ValueError):
+        MopsoConfig(seed=-1).validate()
+    with pytest.raises(ValueError):
+        MopsoConfig(mut=-0.1).validate()
 
 
 def _small_run(instance, **overrides):
@@ -304,12 +289,6 @@ def test_run_variant_shapes(standard_instance):
     assert glb.archive.objectives_matrix().shape[1] == 3
 
 
-def test_recombination_stays_sound(standard_instance):
-    result = _small_run(standard_instance, recombine=True)
-    for entry in result.archive.entries:
-        assert check_constraints(entry.solution, standard_instance).feasible
-
-
 def test_stats_csv_schema(standard_instance):
     result = _small_run(standard_instance, variant="cov")
     text = stats_to_csv(result.stats)
@@ -350,9 +329,9 @@ def _run_recording_offers(instance, config):
 
 
 @settings(max_examples=40, deadline=None)
-@given(planning_cases(), st.sampled_from([1, 3, 100]), st.booleans())
-@example((make_verify2x3_instance(), None, 0), 100, False)
-def test_outcome_memo_changes_no_result(case, capacity, recombine):
+@given(planning_cases(), st.sampled_from([1, 3, 100]))
+@example((make_verify2x3_instance(), None, 0), 100)
+def test_outcome_memo_changes_no_result(case, capacity):
     """A run with the memo evaluates, byte for byte, the candidates of a run
     whose rebuilds never see it, and ends with the same archive, stats and
     incumbent. The benchmark instance repeats most of its placements, so it
@@ -364,7 +343,7 @@ def test_outcome_memo_changes_no_result(case, capacity, recombine):
     except ConstructionInfeasibleError:
         assume(False)
     config = dict(swarm_size=4, gmax=8, mut=0.4, archive_capacity=capacity,
-                  seed=seed, gateway_count=gateway_count, recombine=recombine)
+                  seed=seed, gateway_count=gateway_count)
     try:
         memo, memo_offers = _run_recording_offers(inst, MopsoConfig(**config))
     except ConstructionInfeasibleError:
