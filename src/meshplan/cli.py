@@ -238,19 +238,18 @@ def _archive_json(result, instance) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _cheapest_json(result, instance) -> str:
+def _cheapest_json(result, metrics: dict) -> str:
     payload = {
         "format": 1,
         "variant": result.config.variant,
         "objectives": [float(x) for x in result.incumbent_objectives],
-        "metrics": solution_metrics(result.incumbent, instance),
+        "metrics": metrics,
         "solution": solution_to_dict(result.incumbent),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _summary_text(result, instance) -> str:
-    metrics = solution_metrics(result.incumbent, instance)
+def _summary_text(result, instance, metrics: dict) -> str:
     lines = [
         f"instance: {instance.rows}x{instance.cols} grid, "
         f"{instance.num_dps} demand points, seed {result.config.seed}",
@@ -268,14 +267,14 @@ def cmd_plan(ns) -> int:
     config = _build_config(ns, ns.seed)
     out = _out_dir(ns)
     result = run(instance, config)
+    metrics = solution_metrics(result.incumbent, instance)
     (out / "archive.json").write_text(_archive_json(result, instance))
     (out / "stats.csv").write_text(stats_to_csv(result.stats))
-    (out / "cheapest.json").write_text(_cheapest_json(result, instance))
-    (out / "summary.txt").write_text(_summary_text(result, instance))
+    (out / "cheapest.json").write_text(_cheapest_json(result, metrics))
+    (out / "summary.txt").write_text(_summary_text(result, instance, metrics))
     if ns.dump_routes:
         _, traces = route_flows(result.incumbent, instance)
         (out / "routes.json").write_text(traces_to_json(traces) + "\n")
-    metrics = solution_metrics(result.incumbent, instance)
     print(
         f"plan: archive {len(result.archive)}, cheapest total {metrics['total']}, "
         f"artifacts in {out}"

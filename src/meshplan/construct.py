@@ -177,8 +177,6 @@ def connect_backbone(partial: Solution, instance: PlanningInstance) -> Solution:
     already-valid solutions untouched.
     """
     z = partial.z.tolist()
-    if not any(z):
-        return partial
     nbrs = site_lists(instance)[2]
     while True:
         comps = _components(z, nbrs)  # by smallest member, ascending

@@ -206,6 +206,17 @@ def evaluate_gateway_balance(solution: Solution) -> float:
     return math.sqrt(float((solution.F ** 2).sum()) / total)
 
 
+#: Per objective, in stats.csv column order: its sign in the minimized
+#: vector (-1 for a maximized quantity), its stats.csv column, and its
+#: natural-orientation value from (solution, instance, coverage_mode).
+OBJECTIVES = {
+    COST: (1, "min_cost", lambda sol, *_: evaluate_cost(sol)),
+    COVERAGE: (-1, "max_coverage", evaluate_coverage),
+    LINK: (-1, "max_link_residual", lambda sol, inst, _: evaluate_link_balance(sol, inst)),
+    GATEWAY: (1, "min_gateway_balance", lambda sol, *_: evaluate_gateway_balance(sol)),
+}
+
+
 def evaluate(
     solution: Solution,
     instance: PlanningInstance,
@@ -214,20 +225,13 @@ def evaluate(
 ) -> np.ndarray:
     """Objective vector for the variant, minimization-oriented.
 
-    Maximized quantities (coverage, link residual) enter negated so dominance
-    is uniformly "less or equal everywhere, less somewhere".
+    Maximized quantities enter negated (their `OBJECTIVES` sign is -1), so
+    dominance is uniformly "less or equal everywhere, less somewhere".
     """
-    names = VARIANTS[parse_variant(variant)]
     values = []
-    for name in names:
-        if name == COST:
-            values.append(evaluate_cost(solution))
-        elif name == COVERAGE:
-            values.append(-evaluate_coverage(solution, instance, coverage_mode))
-        elif name == LINK:
-            values.append(-evaluate_link_balance(solution, instance))
-        else:
-            values.append(evaluate_gateway_balance(solution))
+    for name in VARIANTS[parse_variant(variant)]:
+        sign, _, value = OBJECTIVES[name]
+        values.append(sign * value(solution, instance, coverage_mode))
     return np.array(values, dtype=np.float64)
 
 

@@ -24,8 +24,7 @@ from .kernels import crowding_distance_kernel
 from .model import (
     COVERAGE_MODES,
     CandidateRejected,
-    GATEWAY,
-    LINK,
+    OBJECTIVES,
     Solution,
     VARIANTS,
     check_constraints,
@@ -203,18 +202,9 @@ class MopsoResult:
 def _generation_stats(generation: int, archive: ParetoArchive, names) -> dict:
     """One stats.csv row; its key order is the file's column order."""
     m = archive.objectives_matrix()
-    row = {
-        "generation": generation,
-        "archive_size": len(archive),
-        "min_cost": float(m[:, 0].min()),
-        "max_coverage": float(-m[:, 1].min()),
-        "max_link_residual": None,
-        "min_gateway_balance": None,
-    }
-    if LINK in names:
-        row["max_link_residual"] = float(-m[:, names.index(LINK)].min())
-    if GATEWAY in names:
-        row["min_gateway_balance"] = float(m[:, names.index(GATEWAY)].min())
+    row = {"generation": generation, "archive_size": len(archive)}
+    for name, (sign, column, _) in OBJECTIVES.items():
+        row[column] = float(sign * m[:, names.index(name)].min()) if name in names else None
     return row
 
 

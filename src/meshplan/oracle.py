@@ -118,7 +118,7 @@ def _edge_configs(nodes: tuple, b: np.ndarray, instance: PlanningInstance):
     """Channelized link sets on `nodes` meeting radio and degree limits.
 
     Yields lists of (u, v, k): at most R links and unique channels per node,
-    and at least two links per node.
+    and at least two links per node; each node needs two neighbours over b.
 
     One labeling per channel relabeling class is yielded: the one whose
     channels first appear, in edge order, as 0, 1, 2, ... Each edge takes a
@@ -148,8 +148,6 @@ def _edge_configs(nodes: tuple, b: np.ndarray, instance: PlanningInstance):
     for e, (u, v) in enumerate(edges):
         last_edge[u] = e
         last_edge[v] = e
-    if any(last_edge[v] == -1 for v in nodes):
-        return
     degree = {v: 0 for v in nodes}
     used = {v: set() for v in nodes}
     picked: list = []

@@ -441,6 +441,29 @@ def test_removed_recombine_flag_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--gateways", "two"],
+        ["plan", "--config", "missing.json"],
+        ["sweep", "--axis", "traffic", "--values", "2,x"],
+        ["sweep", "--axis", "radios", "--values", "2", "--reps", "0"],
+        ["compare", "--models", "cov,bogus"],
+        ["compare", "--models", "cov,llb", "--reps", "0"],
+    ],
+    ids=["gateway-word", "missing-config", "sweep-bad-value", "sweep-no-reps",
+         "compare-bad-model", "compare-no-reps"],
+)
+def test_refusal_exits_one_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # missing.json names no file there
+    out = tmp_path / "run"
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_file_provides_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": "4x4", "dps": 40, "swarm": 6, "gmax": 5}))
@@ -504,9 +527,9 @@ def test_config_switches_nulls_and_other_commands_keys(tmp_path):
 @pytest.mark.parametrize(
     "entry",
     [{"swarm": 6.5}, {"dump_routes": "no"}, {"model": "nope"}, {"dps": True},
-     {"recombine": True}],
+     {"recombine": True}, [1, 2]],
     ids=["float-for-int", "word-for-switch", "bad-choice", "switch-for-value",
-         "removed-switch"],
+         "removed-switch", "not-an-object"],
 )
 def test_config_values_parse_like_flags(tmp_path, capsys, entry):
     cfg = tmp_path / "cfg.json"

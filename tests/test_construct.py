@@ -127,9 +127,13 @@ def test_connect_backbone_idempotent(standard_instance, rng):
         place_access_points(Solution.empty(standard_instance), standard_instance, rng),
         standard_instance,
     )
-    once = connect_backbone(sol, standard_instance)
-    twice = connect_backbone(once, standard_instance)
-    assert np.array_equal(once.z, twice.z)
+    empty = Solution.empty(standard_instance)
+    for plan in (sol, empty):
+        once = connect_backbone(plan, standard_instance)
+        twice = connect_backbone(once, standard_instance)
+        assert np.array_equal(once.z, twice.z)
+    # the all-zero plan has nothing to join or lift: it comes back as it was
+    assert not empty.z.any()
 
 
 def test_connect_backbone_unreachable_components():

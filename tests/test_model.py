@@ -99,18 +99,19 @@ def test_link_balance_minimum_residual():
 
 
 def test_evaluate_vector_layout_per_variant(feasible, standard_instance):
-    full = evaluate(feasible, standard_instance, "lglb")
-    assert full.shape == (4,)
-    assert full[0] == evaluate_cost(feasible)
-    assert full[1] == -evaluate_coverage(feasible, standard_instance)
-    assert full[2] == -evaluate_link_balance(feasible, standard_instance)
-    assert full[3] == evaluate_gateway_balance(feasible)
-    assert np.array_equal(evaluate(feasible, standard_instance, "cov"), full[:2])
-    assert np.array_equal(
-        evaluate(feasible, standard_instance, "llb"), full[:3]
-    )
-    glb = evaluate(feasible, standard_instance, "glb")
-    assert np.array_equal(glb, full[[0, 1, 3]])
+    for mode in ("assigned", "literal"):
+        full = evaluate(feasible, standard_instance, "lglb", mode)
+        assert full.shape == (4,)
+        assert full[0] == evaluate_cost(feasible)
+        assert full[1] == -evaluate_coverage(feasible, standard_instance, mode)
+        assert full[2] == -evaluate_link_balance(feasible, standard_instance)
+        assert full[3] == evaluate_gateway_balance(feasible)
+        assert np.array_equal(evaluate(feasible, standard_instance, "cov", mode), full[:2])
+        assert np.array_equal(
+            evaluate(feasible, standard_instance, "llb", mode), full[:3]
+        )
+        glb = evaluate(feasible, standard_instance, "glb", mode)
+        assert np.array_equal(glb, full[[0, 1, 3]])
 
 
 def test_parse_variant():

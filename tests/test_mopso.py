@@ -28,10 +28,15 @@ from meshplan.model import (
     check_constraints,
     dominates,
     evaluate,
+    evaluate_cost,
+    evaluate_coverage,
+    evaluate_gateway_balance,
+    evaluate_link_balance,
 )
 from meshplan.mopso import (
     MopsoConfig,
     ParetoArchive,
+    format_cell,
     mutate_solution,
     run,
     stats_to_csv,
@@ -290,19 +295,39 @@ def test_run_variant_shapes(standard_instance):
 
 
 def test_stats_csv_schema(standard_instance):
-    result = _small_run(standard_instance, variant="cov")
-    text = stats_to_csv(result.stats)
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == [
-        "generation", "archive_size", "min_cost", "max_coverage",
-        "max_link_residual", "min_gateway_balance",
-    ]
-    assert len(rows) == 1 + 5
-    for row in rows[1:]:
-        assert row[2] != "" and row[3] != ""
-        # objectives outside the active variant stay blank
-        assert row[4] == "" and row[5] == ""
-    assert text.endswith("\n")
+    present = {
+        "cov": {"min_cost", "max_coverage"},
+        "llb": {"min_cost", "max_coverage", "max_link_residual"},
+        "glb": {"min_cost", "max_coverage", "min_gateway_balance"},
+    }
+    for variant, columns in present.items():
+        result = _small_run(standard_instance, variant=variant)
+        text = stats_to_csv(result.stats)
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == [
+            "generation", "archive_size", "min_cost", "max_coverage",
+            "max_link_residual", "min_gateway_balance",
+        ]
+        assert len(rows) == 1 + 5
+        for row in rows[1:]:
+            # objectives outside the active variant stay blank
+            assert [cell != "" for cell in row[2:]] == [
+                name in columns for name in rows[0][2:]
+            ]
+        # each present column is the best natural value over the final archive
+        plans = [entry.solution for entry in result.archive.entries]
+        best = {
+            "min_cost": min(evaluate_cost(p) for p in plans),
+            "max_coverage": max(evaluate_coverage(p, standard_instance) for p in plans),
+            "max_link_residual": max(
+                evaluate_link_balance(p, standard_instance) for p in plans
+            ),
+            "min_gateway_balance": min(evaluate_gateway_balance(p) for p in plans),
+        }
+        last = dict(zip(rows[0], rows[-1]))
+        for name in columns:
+            assert last[name] == format_cell(best[name]), (variant, name)
+        assert text.endswith("\n")
 
 
 def _same_plan(got, want):

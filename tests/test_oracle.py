@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, assert_feasible, make_square_instance
 from meshplan import oracle
-from meshplan.instance import PlanningInstance, RadioParams, build_grid_instance
+from meshplan.cli import main
+from meshplan.instance import (
+    PlanningInstance,
+    RadioParams,
+    build_grid_instance,
+    load_instance,
+)
 from meshplan.kernels import pareto_mask
 from meshplan.model import ConstraintCheck, ConstraintReport, evaluate
 from meshplan.oracle import (
@@ -55,6 +61,26 @@ def test_toy_enumeration_census(toy_instance):
     full = list(enumerate_feasible(every_labeling(toy_instance)))
     assert len(full) == 12
     assert {tuple(v) for _, v in full} == distinct
+
+
+def test_no_fitting_demand_point_leaves_the_empty_plan(tmp_path, capsys):
+    # every demand point asks 5.0, above C_max 4.0, so no site can serve one
+    data = json.loads((FIXTURES / "toy2x2_instance.json").read_text())
+    for dp in data["demand_points"]:
+        dp["traffic"] = 5.0
+    path = tmp_path / "overloaded.json"
+    path.write_text(json.dumps(data))
+    instance = load_instance(path)
+    plans = list(enumerate_feasible(instance))
+    assert len(plans) == 1
+    assert not plans[0][0].z.any() and not plans[0][0].x.any()
+    # the maximized zeros are -0.0, which == treats as 0
+    assert true_pareto_front(instance, "lglb") == [(0, 0, 0, 0)]
+    assert true_pareto_front(instance, "cov") == [(0, 0)]
+    code = main(["verify", "--instance", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert ("no demand point is both covered by a site and within the site "
+            "capacity") in capsys.readouterr().err
 
 
 def test_toy_front_single_point(toy_instance):
