@@ -132,81 +132,61 @@ def place_relays(partial: Solution, instance: PlanningInstance) -> Solution:
     return partial
 
 
-def _components(z: list, nbrs: list) -> list[list[int]]:
-    seen = set()
-    comps = []
-    for start in range(len(z)):
-        if not z[start] or start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        for u in comp:  # breadth-first: comp grows while it is walked
-            for v in nbrs[u]:
-                if z[v] and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-        comps.append(sorted(comp))
-    return comps
+def _walk(sources: list[int], nbrs: tuple, keep: list) -> dict[int, int]:
+    """Parents of a breadth-first walk from `sources` through `keep` sites.
 
-
-def _shortest_join(sources: list[int], targets: set[int], nbrs: list) -> list[int]:
-    """BFS over all sites from sources; path to the nearest target node."""
-    parent = [-2] * len(nbrs)
-    for v in sources:
-        parent[v] = -1
-    queue = list(sources)
+    Keys are the reached sites in discovery order; sources map to -1.
+    """
+    parent = dict.fromkeys(sources, -1)
+    queue = list(parent)
     for u in queue:  # the queue grows while it is walked
-        if u in targets:
-            path = [u]
-            while parent[path[-1]] != -1:
-                path.append(parent[path[-1]])
-            return path[::-1]
         for v in nbrs[u]:
-            if parent[v] == -2:
+            if keep[v] and v not in parent:
                 parent[v] = u
                 queue.append(v)
-    raise BackboneError("backbone graph is not connectable")
+    return parent
 
 
 def connect_backbone(partial: Solution, instance: PlanningInstance) -> Solution:
     """Join installed components with relay chains and lift degrees to 2.
 
-    Components merge in increasing smallest-member order along shortest
-    connectivity-graph paths; afterwards every installed node gets relays on
-    spare neighbors until it has at least two installed neighbors. Leaves
-    already-valid solutions untouched.
+    The component of the smallest installed node joins the nearest other
+    installed node along a shortest connectivity-graph path, until it holds
+    every installed node. Then each installed node short of two installed
+    neighbors gets relays on its first spare neighbors, pass after pass.
+    Leaves already-valid solutions untouched.
     """
     z = partial.z.tolist()
     nbrs = site_lists(instance)[2]
-    while True:
-        comps = _components(z, nbrs)  # by smallest member, ascending
-        if len(comps) <= 1:
+    while 1 in z:
+        comp = _walk([z.index(1)], nbrs, z)
+        if len(comp) == z.count(1):
             break
-        for v in _shortest_join(comps[0], set().union(*comps[1:]), nbrs):
-            if not z[v]:
-                partial.relay[v] = z[v] = 1
+        parent = _walk(sorted(comp), nbrs, [1] * len(z))
+        target = next((v for v in parent if z[v] and v not in comp), None)
+        if target is None:
+            raise BackboneError("backbone graph is not connectable")
+        v = parent[target]
+        while v not in comp:
+            partial.relay[v] = z[v] = 1
+            v = parent[v]
+    last = None
     while True:
         deficient = [
             v for v in range(len(z))
             if z[v] == 1 and sum(z[nb] for nb in nbrs[v]) < 2
         ]
         if not deficient:
-            break
-        progressed = False
-        for v in deficient:
-            need = 2 - sum(z[nb] for nb in nbrs[v])
-            for nb in nbrs[v]:
-                if need <= 0:
-                    break
-                if not z[nb]:
-                    partial.relay[nb] = z[nb] = 1
-                    need -= 1
-                    progressed = True
-        if not progressed:
+            return partial
+        if deficient == last:  # the last pass left each without spare neighbors
             raise BackboneError(
                 "connectivity graph cannot give every installed node degree 2"
             )
-    return partial
+        last = deficient
+        for v in deficient:
+            need = max(0, 2 - sum(z[nb] for nb in nbrs[v]))
+            for nb in [nb for nb in nbrs[v] if not z[nb]][:need]:
+                partial.relay[nb] = z[nb] = 1
 
 
 def select_gateways(

@@ -295,8 +295,6 @@ def true_pareto_front(
             instance, variant, policy_matched, coverage_mode
         )
     }
-    if not vectors:
-        return []
     ordered = sorted(vectors)
     mask = pareto_mask(np.array(ordered, dtype=np.float64))
     return [ordered[i] for i in range(len(ordered)) if mask[i]]

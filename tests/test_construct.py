@@ -315,6 +315,9 @@ def test_construct_retries_past_backbone_failure():
     with pytest.raises(ConstructionInfeasibleError, match="in 3 attempts") as err:
         construct_feasible(inst, np.random.default_rng(0), max_retries=3)
     assert "degree 2" in str(err.value)
+    # with no attempt at all there would be no last failure to report
+    with pytest.raises(ValueError, match="max_retries must be >= 1"):
+        construct_feasible(inst, np.random.default_rng(0), max_retries=0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -99,18 +100,19 @@ def test_link_balance_minimum_residual():
 
 
 def test_evaluate_vector_layout_per_variant(feasible, standard_instance):
-    for mode in ("assigned", "literal"):
-        full = evaluate(feasible, standard_instance, "lglb", mode)
+    # `feasible` has residual 0, which reads the same under either sign
+    spare = construct_feasible(standard_instance, np.random.default_rng(2))
+    assert evaluate_link_balance(spare, standard_instance) == 10.0
+    for plan, mode in itertools.product((feasible, spare), ("assigned", "literal")):
+        full = evaluate(plan, standard_instance, "lglb", mode)
         assert full.shape == (4,)
-        assert full[0] == evaluate_cost(feasible)
-        assert full[1] == -evaluate_coverage(feasible, standard_instance, mode)
-        assert full[2] == -evaluate_link_balance(feasible, standard_instance)
-        assert full[3] == evaluate_gateway_balance(feasible)
-        assert np.array_equal(evaluate(feasible, standard_instance, "cov", mode), full[:2])
-        assert np.array_equal(
-            evaluate(feasible, standard_instance, "llb", mode), full[:3]
-        )
-        glb = evaluate(feasible, standard_instance, "glb", mode)
+        assert full[0] == evaluate_cost(plan)
+        assert full[1] == -evaluate_coverage(plan, standard_instance, mode)
+        assert full[2] == -evaluate_link_balance(plan, standard_instance)
+        assert full[3] == evaluate_gateway_balance(plan)
+        assert np.array_equal(evaluate(plan, standard_instance, "cov", mode), full[:2])
+        assert np.array_equal(evaluate(plan, standard_instance, "llb", mode), full[:3])
+        glb = evaluate(plan, standard_instance, "glb", mode)
         assert np.array_equal(glb, full[[0, 1, 3]])
 
 

@@ -241,6 +241,8 @@ def test_config_validation():
         MopsoConfig(variant="bogus").validate()
     with pytest.raises(ValueError):
         MopsoConfig(archive_capacity=0).validate()
+    with pytest.raises(ValueError, match="archive capacity must be >= 1"):
+        ParetoArchive(capacity=0)
     with pytest.raises(ValueError):
         MopsoConfig(coverage_mode="bogus").validate()
     with pytest.raises(ValueError):

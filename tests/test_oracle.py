@@ -1,21 +1,28 @@
 import dataclasses
 import json
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, assert_feasible, make_square_instance
+from conftest import (
+    FIXTURES,
+    assert_feasible,
+    make_line_instance,
+    make_square_instance,
+)
 from meshplan import oracle
 from meshplan.cli import main
 from meshplan.instance import (
     PlanningInstance,
     RadioParams,
     build_grid_instance,
+    connectivity_matrix,
     load_instance,
+    save_instance,
 )
 from meshplan.kernels import pareto_mask
 from meshplan.model import ConstraintCheck, ConstraintReport, evaluate
@@ -81,6 +88,19 @@ def test_no_fitting_demand_point_leaves_the_empty_plan(tmp_path, capsys):
     assert code == 2
     assert ("no demand point is both covered by a site and within the site "
             "capacity") in capsys.readouterr().err
+
+
+def test_no_feasible_plan_leaves_the_front_empty(tmp_path, capsys):
+    # two sites can never give a node two backbone neighbors
+    instance = make_line_instance(2)
+    assert true_pareto_front(instance) == []
+    path = tmp_path / "line2.json"
+    save_instance(instance, path)
+    code = main(["verify", "--instance", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no feasible solution in 500 attempts" in err
+    assert "cannot give every installed node degree 2" in err
 
 
 def test_toy_front_single_point(toy_instance):
@@ -240,9 +260,9 @@ def _valid_installed_reference(nodes, b):
 
 
 @st.composite
-def symmetric_01(draw):
-    """A symmetric 0/1 matrix with a zero diagonal on at most 6 nodes."""
-    n = draw(st.integers(1, oracle.GUARD_SITES))
+def symmetric_01(draw, max_nodes=oracle.GUARD_SITES):
+    """A symmetric 0/1 matrix with a zero diagonal on 1 to `max_nodes` nodes."""
+    n = draw(st.integers(1, max_nodes))
     m = n * (n - 1) // 2
     b = np.zeros((n, n), dtype=np.uint8)
     b[np.triu_indices(n, 1)] = draw(st.lists(st.booleans(), min_size=m, max_size=m))
@@ -259,6 +279,53 @@ def test_installed_set_checks_match_dfs_reference(b):
             assert oracle._valid_installed(nodes, b) == _valid_installed_reference(
                 nodes, b
             )
+
+
+def _edge_configs_reference(nodes, b, R, K):
+    """Every channelled link set on `nodes` over b, by brute force.
+
+    One channel per linked pair, channels distinct at each node, 2 to R
+    links per node, and channels first used, in edge order, as 0, 1, 2, ...
+    """
+    edges = [(u, v) for u, v in combinations(nodes, 2) if b[u, v]]
+    configs = []
+    for chans in product(range(-1, K), repeat=len(edges)):  # -1: no link
+        links = [(u, v, k) for (u, v), k in zip(edges, chans) if k >= 0]
+        firsts = list(dict.fromkeys(k for _, _, k in links))
+        at = [[k for u, v, k in links if node in (u, v)] for node in nodes]
+        if firsts == list(range(len(firsts))) and all(
+            2 <= len(ks) <= R and len(set(ks)) == len(ks) for ks in at
+        ):
+            configs.append(links)
+    return configs
+
+
+@st.composite
+def edge_config_cases(draw):
+    """Radio limits and a connectivity matrix on at most 4 nodes, each with
+    two neighbors (the enumerator never asks for links on other sets)."""
+    b = draw(symmetric_01(max_nodes=4))
+    assume(oracle._min_degree_two(tuple(range(len(b))), b))
+    radios = draw(st.integers(2, 3))
+    inst = make_line_instance(len(b), R=radios, K=draw(st.integers(radios, 3)))
+    return inst, b
+
+
+def complete_graph_case():
+    """K4 with R=3 and K=3, where a node can reach its last edge with no
+    link yet, so that edge can take no channel."""
+    inst = make_line_instance(4, R=3, K=3, backbone_range=5.0)
+    return inst, connectivity_matrix(inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_config_cases())
+@example(complete_graph_case())
+def test_edge_configs_match_brute_force(case):
+    inst, b = case
+    nodes = tuple(range(len(b)))
+    got = list(oracle._edge_configs(nodes, b, inst))
+    assert sorted(got) == sorted(_edge_configs_reference(nodes, b, inst.R, inst.K))
 
 
 def test_enumeration_includes_only_feasible(one_dp_instance):

@@ -3,7 +3,9 @@ plans, draws and failures as the matrix-indexing versions they replaced.
 
 Each `*_matrix` function below is the earlier implementation, kept here as
 the reference: it re-derives everything from the coverage and connectivity
-matrices on every call.
+matrices on every call. The backbone reference also keeps the earlier graph
+walks, `components` and `shortest_join`, so that it shares no walk with
+`connect_backbone`.
 """
 
 import numpy as np
@@ -19,8 +21,6 @@ from conftest import (
 from meshplan.construct import (
     BackboneError,
     ChannelAssignmentError,
-    _components,
-    _shortest_join,
     assign_channels,
     connect_backbone,
     place_access_points,
@@ -71,6 +71,43 @@ def place_access_points_matrix(partial, instance, rng):
     return partial
 
 
+def components(z, nbrs):
+    """Every installed component, each sorted, in smallest-member order."""
+    seen = set()
+    comps = []
+    for start in range(len(z)):
+        if not z[start] or start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        for u in comp:  # breadth-first: comp grows while it is walked
+            for v in nbrs[u]:
+                if z[v] and v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+        comps.append(sorted(comp))
+    return comps
+
+
+def shortest_join(sources, targets, nbrs):
+    """BFS over all sites from sources; path to the nearest target node."""
+    parent = [-2] * len(nbrs)
+    for v in sources:
+        parent[v] = -1
+    queue = list(sources)
+    for u in queue:  # the queue grows while it is walked
+        if u in targets:
+            path = [u]
+            while parent[path[-1]] != -1:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for v in nbrs[u]:
+            if parent[v] == -2:
+                parent[v] = u
+                queue.append(v)
+    raise BackboneError("backbone graph is not connectable")
+
+
 def connect_backbone_matrix(partial, instance):
     b = connectivity_matrix(instance)
     z = partial.z.tolist()
@@ -85,14 +122,14 @@ def connect_backbone_matrix(partial, instance):
         z[v] = 1
 
     while True:
-        comps = _components(z, nbrs)
+        comps = components(z, nbrs)
         if len(comps) <= 1:
             break
         comps.sort(key=lambda c: c[0])
         rest = set()
         for comp in comps[1:]:
             rest.update(comp)
-        for v in _shortest_join(comps[0], rest, nbrs):
+        for v in shortest_join(comps[0], rest, nbrs):
             if not z[v]:
                 install_relay(v)
     while True:
@@ -235,19 +272,32 @@ def test_place_access_points_matches_matrix_version(case):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def sparse_case(rows, cols, instance_seed, seed):
+    """One DP on a grid with random matrices at density 0.5."""
+    inst = build_grid_instance(rows, cols, n_dps=1, radio=RadioParams(),
+                               seed=instance_seed, random_matrix_density=0.5)
+    return inst, None, seed
+
+
 @settings(max_examples=200, deadline=None)
-@given(planning_cases(), st.integers(0, 2**32 - 1))
-def test_backbone_and_channels_match_matrix_versions(case, bits):
+@given(planning_cases(), st.booleans(), st.lists(st.integers(0, 15), max_size=16))
+# a node left short of neighbors while later nodes still get relays
+@example(sparse_case(2, 2, 1, 0), False, [])
+# a join whose path depends on the order its sources are walked in
+@example(sparse_case(4, 2, 7, 1), True, [])
+def test_backbone_and_channels_match_matrix_versions(case, neighborhoods, extra):
     """Same relays, link table, channels and failure messages as the matrix
     versions."""
     inst, _, seed = case
-    rng = np.random.default_rng(seed)
-    plan = place_relays(
-        place_access_points(Solution.empty(inst), inst, rng), inst
+    plan = place_access_points(
+        Solution.empty(inst), inst, np.random.default_rng(seed)
     )
-    # extra relays at random sites, so backbone repair meets other shapes
-    for j in range(inst.num_sites):
-        if bits >> j & 1 and not plan.ap[j]:
+    # without their relay neighborhoods, APs often lie in separate components
+    if neighborhoods:
+        place_relays(plan, inst)
+    # relays at random sites, so backbone repair meets other shapes
+    for j in extra:
+        if j < inst.num_sites and not plan.ap[j]:
             plan.relay[j] = 1
     linked = assert_same_outcome(
         connect_backbone, connect_backbone_matrix, plan, inst
