@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .construct import ConstructionInfeasibleError
-from .flow import route_flows, traces_to_json
+from .flow import route_flows
 from .instance import (
     InstanceError,
     RadioParams,
@@ -221,6 +221,10 @@ def _out_dir(ns) -> Path:
     return out
 
 
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _archive_json(result, instance) -> str:
     payload = {
         "format": 1,
@@ -235,7 +239,7 @@ def _archive_json(result, instance) -> str:
             for entry in result.archive.entries
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json(payload)
 
 
 def _cheapest_json(result, metrics: dict) -> str:
@@ -246,7 +250,7 @@ def _cheapest_json(result, metrics: dict) -> str:
         "metrics": metrics,
         "solution": solution_to_dict(result.incumbent),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json(payload)
 
 
 def _summary_text(result, instance, metrics: dict) -> str:
@@ -274,7 +278,7 @@ def cmd_plan(ns) -> int:
     (out / "summary.txt").write_text(_summary_text(result, instance, metrics))
     if ns.dump_routes:
         _, traces = route_flows(result.incumbent, instance)
-        (out / "routes.json").write_text(traces_to_json(traces) + "\n")
+        (out / "routes.json").write_text(_json(traces))
     print(
         f"plan: archive {len(result.archive)}, cheapest total {metrics['total']}, "
         f"artifacts in {out}"

@@ -11,9 +11,6 @@ rejected outright.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .instance import PlanningInstance, row_capacities
@@ -30,20 +27,6 @@ class RoutingInfeasibleError(CandidateRejected):
     def __init__(self, site: int, reason: str):
         super().__init__(f"site {site}: {reason}")
         self.site = site
-
-
-@dataclass
-class RoutingTrace:
-    """One routed demand: the site, its gateway, and the path walked."""
-
-    site: int
-    gateway: int
-    path: list
-    demand: float
-
-
-def traces_to_json(traces: list, indent: int = 2) -> str:
-    return json.dumps([asdict(t) for t in traces], indent=indent, sort_keys=True)
 
 
 def _lex_shortest_path(graph, dist_from_gw, site, gateway):
@@ -65,7 +48,8 @@ def _lex_shortest_path(graph, dist_from_gw, site, gateway):
 def route_flows(
     solution: Solution, instance: PlanningInstance
 ) -> tuple[Solution, list]:
-    """Route every site's assigned demand to a gateway; returns (solution, traces).
+    """Route every site's assigned demand to a gateway; returns (solution, traces),
+    one {"site", "gateway", "path", "demand"} record per routed site.
 
     The returned solution carries fresh flows and F, with each established
     link stored in the direction its flow travels (idle links keep the
@@ -76,26 +60,24 @@ def route_flows(
     out = solution.copy()
     loads = out.site_loads(instance)
 
-    # Link rows: undirected (u, v, k) with u < v, ascending (a link stored in
-    # both directions is one row), each with a capacity, a sender (None while
-    # idle) and a flow; pair_rows maps a site pair to its rows, lowest k first.
+    # Link rows, keyed by undirected (u, v, k) with u < v (a link stored in
+    # both directions is one row): a capacity, a sender (None while idle) and
+    # a flow per key; pair_rows maps a site pair to its keys, lowest k first.
     live = out.links[out.L == 1]
-    caps = {}
+    cap = {}
     for (j, l, k), c in zip(live.tolist(), row_capacities(instance, live)):
-        caps[(j, l, k) if j < l else (l, j, k)] = c
-    keys = sorted(caps)
-    cap = [caps[key] for key in keys]
-    sender = [None] * len(keys)
-    flow = [0.0] * len(keys)
-    pair_rows: dict[tuple[int, int], list[int]] = {}
-    for r, (u, v, _) in enumerate(keys):
-        pair_rows.setdefault((u, v), []).append(r)
+        cap[(j, l, k) if j < l else (l, j, k)] = c
+    sender = dict.fromkeys(cap)
+    flow = dict.fromkeys(cap, 0.0)
+    pair_rows: dict[tuple[int, int], list] = {}
+    for key in sorted(cap):
+        pair_rows.setdefault(key[:2], []).append(key)
 
     graph = adjacency_csr(s, [u for u, _ in pair_rows], [v for _, v in pair_rows])
     demand_sites = np.flatnonzero(loads > FEAS_TOL).tolist()
     gateways = np.flatnonzero(out.gateway == 1).tolist()
     throughput = [0.0] * s
-    traces: list[RoutingTrace] = []
+    traces: list[dict] = []
 
     if demand_sites and not gateways:
         raise RoutingInfeasibleError(demand_sites[0], "no gateway selected")
@@ -103,10 +85,10 @@ def route_flows(
     hops = dict(zip(gateways, bfs_hops_multi(graph, A, gateways)))
 
     def lowest_row(u: int, v: int, demand: float):
-        """Row of the lowest channel on link u-v that can carry demand u->v."""
-        for r in pair_rows[(u, v) if u < v else (v, u)]:
-            if sender[r] in (None, u) and flow[r] + demand <= cap[r] + FEAS_TOL:
-                return r
+        """Key of the lowest channel on link u-v that can carry demand u->v."""
+        for key in pair_rows[(u, v) if u < v else (v, u)]:
+            if sender[key] in (None, u) and flow[key] + demand <= cap[key] + FEAS_TOL:
+                return key
         return None
 
     def route_to(site: int, gw: int, demand: float):
@@ -120,14 +102,14 @@ def route_flows(
             path = _lex_shortest_path(cut, dist, site, gw)
             picks = []
             for u, v in zip(path, path[1:]):
-                r = lowest_row(u, v, demand)
-                if r is None:
+                key = lowest_row(u, v, demand)
+                if key is None:
                     break
-                picks.append((u, r))
+                picks.append((u, key))
             else:
-                for u, r in picks:
-                    sender[r] = u
-                    flow[r] += demand
+                for u, key in picks:
+                    sender[key] = u
+                    flow[key] += demand
                 return path
             if cut is graph:
                 cut = list(graph)
@@ -153,12 +135,12 @@ def route_flows(
                 site, f"every path within {A} hops blocked by link capacity"
             )
         throughput[gw] += demand
-        traces.append(RoutingTrace(site, gw, path, demand))
+        traces.append({"site": site, "gateway": gw, "path": path, "demand": demand})
 
     # One row per link, stored in its flow direction.
     out.set_links(
-        (v, u, k, 1, f) if snd == v else (u, v, k, 1, f)
-        for (u, v, k), snd, f in zip(keys, sender, flow)
+        (v, u, k, 1, f) if sender[u, v, k] == v else (u, v, k, 1, f)
+        for (u, v, k), f in flow.items()
     )
     out.F = np.array(throughput, dtype=np.float64)
     return out, traces

@@ -154,12 +154,10 @@ def mutate_solution(
     for _ in range(retries):
         work = base.copy()
         aps = np.flatnonzero(work.ap == 1)
-        draws = rng.random(len(aps))
-        for site, draw in zip(aps, draws):
-            if draw < mut:
-                work.ap[site] = 0
-                work.x[:, site] = 0
-                work.gateway[site] = 0
+        drop = aps[rng.random(len(aps)) < mut]
+        work.ap[drop] = 0
+        work.x[:, drop] = 0
+        work.gateway[drop] = 0
         flagged = np.flatnonzero(work.gateway == 1)
         moves = rng.random(len(flagged))
         targets = np.flatnonzero(work.z == 1)

@@ -18,10 +18,8 @@ from meshplan.construct import ConstructionInfeasibleError, construct_feasible
 from meshplan.flow import (
     MAX_PATH_TRIES,
     RoutingInfeasibleError,
-    RoutingTrace,
     _lex_shortest_path,
     route_flows,
-    traces_to_json,
 )
 from meshplan.instance import RadioParams, build_grid_instance, row_capacities
 from meshplan.kernels import UNREACHABLE, adjacency_csr, bfs_hops
@@ -76,7 +74,7 @@ def test_one_hop_route():
     assert dense(routed)[1][0, 1, 0] == pytest.approx(2.0)
     assert routed.F[1] == pytest.approx(2.0)
     assert len(traces) == 1
-    assert traces[0].path == [0, 1]
+    assert traces[0]["path"] == [0, 1]
     assert_flow_conserved(routed, inst)
 
 
@@ -84,7 +82,7 @@ def test_gateway_at_demand_site_short_circuits():
     inst = make_line_instance(3)
     sol = _line_solution(inst, gateway_site=0)
     routed, traces = route_flows(sol, inst)
-    assert traces[0].path == [0]
+    assert traces[0]["path"] == [0]
     assert routed.F[0] == pytest.approx(2.0)
     assert routed.f.sum() == 0.0
     assert_flow_conserved(routed, inst)
@@ -106,7 +104,7 @@ def test_nearest_gateway_wins():
     sol = _line_solution(inst, gateway_site=1)
     sol.gateway[4] = 1
     routed, traces = route_flows(sol, inst)
-    assert traces[0].gateway == 1
+    assert traces[0]["gateway"] == 1
     assert routed.F[1] == pytest.approx(2.0)
     assert routed.F[4] == 0.0
 
@@ -123,7 +121,7 @@ def test_equidistant_tie_prefers_lower_index_gateway():
         for j in range(4):
             L[j, j + 1, j % inst.K] = 1
     routed, traces = route_flows(sol, inst)
-    assert traces[0].gateway == 1
+    assert traces[0]["gateway"] == 1
     assert routed.F[1] == pytest.approx(2.0)
 
 
@@ -132,7 +130,7 @@ def test_lexicographically_smallest_shortest_path():
     sol = _square_solution(inst, gateways=(3,))
     routed, traces = route_flows(sol, inst)
     # both 0-1-3 and 0-2-3 are two hops; the smaller middle node wins
-    assert traces[0].path == [0, 1, 3]
+    assert traces[0]["path"] == [0, 1, 3]
     _, f = dense(routed)
     assert f[0, 1, 0] == pytest.approx(2.0)
     assert f[1, 3, 1] == pytest.approx(2.0)
@@ -146,7 +144,7 @@ def test_capacity_fallback_takes_detour():
     )
     sol = _square_solution(inst, gateways=(3,))
     routed, traces = route_flows(sol, inst)
-    assert traces[0].path == [0, 2, 3]
+    assert traces[0]["path"] == [0, 2, 3]
     _, f = dense(routed)
     assert f[0, 2, 1] == pytest.approx(2.0)
     assert f[2, 3, 0] == pytest.approx(2.0)
@@ -158,7 +156,7 @@ def test_reverse_capacity_override_takes_detour(link):
     # the override names a link of the path 0-1-3 against its travel direction
     inst = make_square_instance(capacity_overrides=((*link, 1.0),))
     routed, traces = route_flows(_square_solution(inst, gateways=(3,)), inst)
-    assert traces[0].path == [0, 2, 3]
+    assert traces[0]["path"] == [0, 2, 3]
     assert_flow_conserved(routed, inst)
 
 
@@ -195,7 +193,7 @@ def test_hop_bound_excludes_far_gateways():
     assert str(exc.value) == "site 0: no gateway within 3 hops"
     relaxed = make_line_instance(6, A=5)
     routed, traces = route_flows(_line_solution(relaxed, 5), relaxed)
-    assert traces[0].path == [0, 1, 2, 3, 4, 5]
+    assert traces[0]["path"] == [0, 1, 2, 3, 4, 5]
     assert_flow_conserved(routed, relaxed)
 
 
@@ -203,8 +201,10 @@ def test_no_gateway_is_infeasible():
     inst = make_line_instance(3)
     sol = _line_solution(inst, gateway_site=2)
     sol.gateway[:] = 0
-    with pytest.raises(RoutingInfeasibleError):
+    with pytest.raises(RoutingInfeasibleError) as exc:
         route_flows(sol, inst)
+    assert exc.value.site == 0
+    assert str(exc.value) == "site 0: no gateway selected"
 
 
 def test_flow_direction_matches_travel():
@@ -245,10 +245,35 @@ def test_full_channel_spills_onto_next_channel_of_same_pair():
     routed, traces = route_flows(sol, inst)
     # the first 2.0 leaves channel 0 too full for the second, which takes
     # channel 1 of the same pair
-    assert [t.path for t in traces] == [[0, 1, 2], [1, 2]]
+    assert [t["path"] for t in traces] == [[0, 1, 2], [1, 2]]
     _, f = dense(routed)
     assert f[1, 2, 0] == pytest.approx(2.0)
     assert f[1, 2, 1] == pytest.approx(2.0)
+    assert_flow_conserved(routed, inst)
+
+
+def test_opposite_flows_on_one_pair_take_separate_channels():
+    # the path 3-0-1-2 with gateways 2 and 3 and pair 0-1 on channels 0 and
+    # 1: site 0's 2.0 is too much for 0-3 and goes 0->1->2 on channel 0; site
+    # 1's 1.0 then overfills 1-2 and goes 1->0->3, on channel 1, because a
+    # channel carries flow one way
+    inst = make_line_instance(
+        4, dp_sites=(0, 1), R=3, K=3,
+        capacity_overrides=((0, 3, 2, 1.5), (1, 2, 2, 2.5)),
+    )
+    inst = dataclasses.replace(inst, dp_traffic=np.array([2.0, 1.0]))
+    sol = Solution.empty(inst)
+    sol.ap[:2] = 1
+    sol.relay[2:] = 1
+    sol.gateway[[2, 3]] = 1
+    sol.x = np.eye(2, 4, dtype=np.uint8)
+    sol.set_links([(0, 1, 0, 1, 0.0), (0, 1, 1, 1, 0.0), (1, 2, 2, 1, 0.0),
+                   (0, 3, 2, 1, 0.0)])
+    routed, traces = route_flows(sol, inst)
+    assert [t["path"] for t in traces] == [[0, 1, 2], [1, 0, 3]]
+    assert routed.link_list() == [(0, 1, 0), (0, 3, 2), (1, 0, 1), (1, 2, 2)]
+    assert routed.f.tolist() == [2.0, 1.0, 1.0, 2.0]
+    assert routed.F.tolist() == [0.0, 0.0, 2.0, 1.0]
     assert_flow_conserved(routed, inst)
 
 
@@ -269,7 +294,7 @@ def test_link_stored_in_both_directions_routes_as_one():
 def test_traces_serialize_to_json():
     inst = make_line_instance(3)
     routed, traces = route_flows(_line_solution(inst, 2), inst)
-    payload = json.loads(traces_to_json(traces))
+    payload = json.loads(json.dumps(traces))
     assert payload == [
         {"site": 0, "gateway": 2, "path": [0, 1, 2], "demand": 2.0}
     ]
@@ -290,9 +315,21 @@ def test_routing_conserves_flow_within_link_capacity(case):
     assert_flow_conserved(routed, inst)
     caps = np.array(row_capacities(inst, routed.links))
     assert np.all(routed.f <= routed.L * caps + FEAS_TOL)
-    assert sum(t.demand for t in traces) == pytest.approx(
+    assert sum(t["demand"] for t in traces) == pytest.approx(
         float(routed.site_loads(inst).sum())
     )
+    # each record walks from its site to its gateway within A hops, and each
+    # hop u -> v is an established link stored as (u, v, k) carrying flow
+    carried = {
+        (j, l) for (j, l, _), L, f in zip(routed.links.tolist(), routed.L, routed.f)
+        if L == 1 and f > 0
+    }
+    for t in traces:
+        path = t["path"]
+        assert path[0] == t["site"] and path[-1] == t["gateway"]
+        assert len(path) - 1 <= inst.A
+        for hop in zip(path, path[1:]):
+            assert hop in carried
 
 
 @pytest.mark.parametrize("full", [7, 8])
@@ -313,7 +350,7 @@ def test_fan_of_blocked_paths_stops_after_max_path_tries(full):
     )
     if full == 7:
         routed, traces = route_flows(sol, inst)
-        assert traces[0].path == [0, 8, 10]
+        assert traces[0]["path"] == [0, 8, 10]
         assert_flow_conserved(routed, inst)
     else:
         # 0-9-10 is free, but it would be the ninth try
@@ -407,7 +444,7 @@ def _reference_route_flows(solution, instance):
                 site, f"every path within {A} hops blocked by link capacity"
             )
         throughput[gw] += demand
-        traces.append(RoutingTrace(site, gw, path, demand))
+        traces.append({"site": site, "gateway": gw, "path": path, "demand": demand})
     out.set_links(
         (v, u, k, 1, f) if snd == v else (u, v, k, 1, f)
         for (u, v, k), snd, f in zip(keys, sender, flow)
@@ -426,19 +463,28 @@ def link_tables(draw):
             radios=1, channels=K, capacity=6.0, max_hops=draw(st.integers(1, 4))
         ), seed=0,
     )
-    # each site pair draws no link, or a link on one channel that is wide
-    # (None: C_max), or narrower than some demands and so blocks them
+    # half the draws link each site pair with odds 1/2: dense graphs with
+    # many equal-hop paths, or disconnected ones; the other half lay a random
+    # tree (each site after the first links to an earlier one) plus up to s
+    # more site pairs, so that paths run several hops and share pairs. Each
+    # linked pair has one or two links on distinct channels, each in its own
+    # direction and either wide (None: C_max) or narrower than some demands
+    # and so blocking them
     pairs = [(j, l) for j in range(s) for l in range(j + 1, s)]
-    choice = st.one_of(st.none(), st.tuples(
-        st.integers(0, K - 1), st.sampled_from([None, 1.0, 2.0, 3.0]),
-        st.booleans(),
-    ))
+    if draw(st.booleans()):
+        linked = {pair for pair, on in zip(pairs, draw(st.lists(
+            st.booleans(), min_size=len(pairs), max_size=len(pairs),
+        ))) if on}
+    else:
+        tree = {(draw(st.integers(0, l - 1)), l) for l in range(1, s)}
+        linked = tree | draw(st.sets(st.sampled_from(pairs), max_size=s))
+    narrow = st.sampled_from([1.0, 2.0, 3.0])
+    row = st.tuples(st.integers(0, K - 1), st.none() | narrow, st.booleans())
     links, overrides = [], []
-    for (j, l), pick in zip(pairs, draw(st.lists(
-        choice, min_size=len(pairs), max_size=len(pairs),
-    ))):
-        if pick is not None:
-            k, cap, flip = pick
+    for j, l in sorted(linked):
+        for k, cap, flip in draw(
+            st.lists(row, min_size=1, max_size=2, unique_by=lambda pick: pick[0])
+        ):
             links.append((l, j, k) if flip else (j, l, k))
             if cap is not None:
                 overrides.append((*links[-1], cap))
@@ -450,9 +496,11 @@ def link_tables(draw):
     )
     sol = Solution.empty(inst)
     site = st.integers(0, s - 1)
-    for j in draw(st.sets(site, max_size=s)):
-        sol.x[j, j] = 1
-    sol.gateway[list(draw(st.sets(site, max_size=3)))] = 1
+    for j, loaded in enumerate(draw(st.lists(st.booleans(), min_size=s, max_size=s))):
+        sol.x[j, j] = loaded
+    # one draw in four selects no gateway
+    if draw(st.sampled_from([True, True, True, False])):
+        sol.gateway[list(draw(st.sets(site, min_size=1, max_size=3)))] = 1
     sol.set_links((j, l, k, 1, 0.0) for j, l, k in links)
     return sol, inst
 
