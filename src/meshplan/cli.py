@@ -29,7 +29,6 @@ from .instance import (
 )
 from .model import (
     COVERAGE_MODES,
-    CandidateRejected,
     VARIANTS,
     parse_variant,
     solution_metrics,
@@ -403,7 +402,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"meshplan: {exc}", file=sys.stderr)
         return 3
-    except (ConstructionInfeasibleError, CandidateRejected) as exc:
+    except ConstructionInfeasibleError as exc:
         print(f"meshplan: infeasible: {exc}", file=sys.stderr)
         return 2
 

@@ -275,10 +275,10 @@ def placement_key(partial: Solution) -> bytes:
 
 
 class Outcomes(dict):
-    """Checked plans of one run by `placement_key`, at most `capacity`.
+    """Rebuilt plans of one run by `placement_key`, at most `capacity`.
 
-    Each plan has passed `check_constraints` and is read-only. Storing into
-    a full memo drops the oldest entry (insertion order).
+    Each plan is a routed `rebuild_pipeline` output and is read-only.
+    Storing into a full memo drops the oldest entry (insertion order).
     """
 
     def __init__(self, capacity: int):
@@ -308,11 +308,11 @@ def rebuild_pipeline(
     array byte for byte: no step finds a demand point to place, a component
     to join, a node short of neighbors or a gateway missing.
 
-    `outcomes` is only read. The steps after `select_gateways` draw nothing
-    and read only the placement (`placement_key`), so when it holds a plan
-    for this placement, that plan object is exactly what they would give and
-    is returned without running them. Otherwise channel assignment and
-    routing run. A step that fails raises a `CandidateRejected` subclass.
+    The steps after `select_gateways` draw nothing and read only the
+    placement (`placement_key`), so a plan `outcomes` holds for it is exactly
+    what they would give and is returned without running them. Otherwise
+    channel assignment and routing run and store the routed plan there. A
+    step that fails raises a `CandidateRejected` subclass and stores nothing.
     """
     partial.w[:] = 0
     place_access_points(partial, instance, rng)
@@ -325,6 +325,8 @@ def rebuild_pipeline(
             return stored
     assign_channels(partial, instance)
     routed, _ = route_flows(partial, instance)
+    if outcomes is not None:
+        outcomes.store(routed)
     return routed
 
 
@@ -336,12 +338,14 @@ def construct_feasible(
 ) -> Solution:
     """Build a solution passing every constraint, retrying with fresh draws.
 
-    A rejected attempt is drawn again. ConstructionInfeasibleError means the
-    instance gets no plan: after `max_retries` rejections, or up front for a
-    hopeless instance. With R < 2 a node may carry at most R links (C3), but
-    each installed node needs two (C14). Where no demand point is both
-    covered by a site and within the site capacity, `place_access_points`
-    installs nothing, so every attempt would fail at gateway selection.
+    Only a rejected attempt is drawn again: the first plan built is checked,
+    and CheckFailed there is a program fault that stops construction.
+    ConstructionInfeasibleError means the instance gets no plan: after
+    `max_retries` rejections, or up front for a hopeless instance. With
+    R < 2 a node may carry at most R links (C3), but each installed node
+    needs two (C14). Where no demand point is both covered by a site and
+    within the site capacity, `place_access_points` installs nothing, so
+    every attempt would fail at gateway selection.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be >= 1")
@@ -363,10 +367,11 @@ def construct_feasible(
             candidate = rebuild_pipeline(
                 Solution.empty(instance), instance, rng, gateway_count
             )
-            check_constraints(candidate, instance).require()
-            return candidate
         except CandidateRejected as exc:
             last = str(exc)
+        else:
+            check_constraints(candidate, instance).require()
+            return candidate
     raise ConstructionInfeasibleError(
         f"no feasible solution in {max_retries} attempts (last: {last})"
     )

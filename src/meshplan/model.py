@@ -46,14 +46,14 @@ class SolutionFormatError(ValueError):
 
 
 class CandidateRejected(Exception):
-    """A candidate plan failed a rebuild step, routing or the check.
+    """A candidate plan failed a rebuild step or routing.
 
     Retry loops catch only this and draw again; any other exception is a bug.
     """
 
 
-class CheckFailed(CandidateRejected):
-    """The plan breaks some of the fifteen constraints."""
+class CheckFailed(Exception):
+    """The plan breaks a constraint: for a pipeline plan, a program fault."""
 
 
 def parse_variant(name: str) -> str:

@@ -138,17 +138,17 @@ def mutate_solution(
     """Randomly drop APs and move gateway flags, then rebuild and re-route.
 
     Each attempt perturbs a fresh copy of `base` and replays the placement
-    pipeline on the survivors; an attempt rejected by a rebuild step,
-    routing or the constraint check is discarded. After `retries` rejections
-    the unmutated `fallback` is returned.
+    pipeline on the survivors; an attempt rejected by a rebuild step or
+    routing is discarded. After `retries` rejections the unmutated
+    `fallback` is returned. Nothing here runs the constraint check: `run`
+    checks the plans it emits.
 
-    `fallback` must be a feasible `rebuild_pipeline` output, as every
-    particle's plan is: an attempt with its `placement_key` returns it
-    without the rebuild and check, which would reproduce it.
+    `fallback` must be a `rebuild_pipeline` output, as every particle's plan
+    is: an attempt with its `placement_key` returns it without the rebuild,
+    which would reproduce it.
 
-    `outcomes` holds plans that passed the check. A rebuilt plan that passes
-    is stored there, so `rebuild_pipeline` returns it for the same placement
-    later, and that plan object is returned again without the check.
+    `rebuild_pipeline` stores each plan it routes in `outcomes` and returns
+    that plan object again for the same placement later.
     """
     unchanged = placement_key(fallback)
     for _ in range(retries):
@@ -168,15 +168,9 @@ def mutate_solution(
         if placement_key(work) == unchanged:
             return fallback
         try:
-            rebuilt = rebuild_pipeline(work, instance, rng, gateway_count, outcomes)
-            # Nothing is stored since the rebuild's own lookup, so this
-            # finds `rebuilt` exactly when the rebuild returned a stored plan.
-            if outcomes.lookup(rebuilt) is not rebuilt:
-                check_constraints(rebuilt, instance).require()
-                outcomes.store(rebuilt)
+            return rebuild_pipeline(work, instance, rng, gateway_count, outcomes)
         except CandidateRejected:
             continue
-        return rebuilt
     return fallback
 
 
@@ -231,11 +225,15 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
     particle, and each candidate is offered to the archive as soon as it is
     evaluated, in particle order.
 
-    The run keeps one `Outcomes` memo of checked plans for its mutations,
+    Every plan the archive admits, which includes every new incumbent,
+    passes `check_constraints` or raises CheckFailed, a program fault; these
+    are the plans a run can emit.
+
+    The run keeps one `Outcomes` memo of rebuilt plans for its mutations,
     bounded by `archive_capacity` (no more plans than the archive may keep),
     and it reuses a particle's objective vector when mutation returns that
     particle's plan object. Neither changes a result: both skip only work
-    that is a pure function of inputs already judged.
+    that is a pure function of inputs already seen.
     """
     config.validate()
     names = VARIANTS[parse_variant(config.variant)]
@@ -270,10 +268,13 @@ def run(instance: PlanningInstance, config: MopsoConfig) -> MopsoResult:
                     sol, instance, config.variant, config.coverage_mode
                 )
             vec = vectors[i]
-            archive.update(sol, vec, seq)
+            if archive.update(sol, vec, seq):
+                check_constraints(sol, instance).require()
             seq += 1
             key = (float(vec[0]), float(vec[1]))
             if incumbent_key is None or key < incumbent_key:
+                # checked above: the archive admits a new incumbent, as no
+                # earlier plan matches or beats it in both cost and coverage
                 incumbent, incumbent_vec, incumbent_key = sol, vec, key
         stats.append(_generation_stats(g, archive, names))
 

@@ -231,10 +231,10 @@ def enumerate_feasible(
     for sol in candidates(instance, a, b):
         try:
             routed, _ = route_flows(sol, instance)
-            check_constraints(routed, instance).require()
         except CandidateRejected:
             continue
-        yield routed, evaluate(routed, instance, variant, coverage_mode)
+        if check_constraints(routed, instance).feasible:
+            yield routed, evaluate(routed, instance, variant, coverage_mode)
 
 
 def _policy_candidates(instance: PlanningInstance, a, b):

@@ -35,12 +35,11 @@ from meshplan.instance import (
     build_grid_instance,
     coverage_matrix,
     grid_neighbors,
+    row_capacities,
 )
 from meshplan.model import (
     CandidateRejected,
     CheckFailed,
-    ConstraintCheck,
-    ConstraintReport,
     Solution,
 )
 
@@ -383,29 +382,33 @@ def test_gateway_budget_is_retried(standard_instance, rng):
     assert out is plan
 
 
-def test_failed_check_is_retried(verify2x3_instance, monkeypatch):
-    """A plan the check rejects is a rejected attempt like any other, and the
-    last rejection names the failed constraints."""
-    checked = []
+def test_failed_check_stops_construction(verify2x3_instance, monkeypatch):
+    """A built plan that breaks a constraint is a program fault: it raises
+    CheckFailed at once instead of being drawn again."""
+    routed = []
+    real = construct.route_flows
 
-    def failing(solution, instance):
-        checked.append(solution)
-        return ConstraintReport([ConstraintCheck("C1", False, [(0,)])])
+    def overloaded(solution, instance):
+        plan, traces = real(solution, instance)
+        live = int(np.flatnonzero(plan.L == 1)[0])
+        cap = row_capacities(instance, plan.links[live:live + 1])[0]
+        plan.f[live] = cap + 1.0
+        routed.append(plan)
+        return plan, traces
 
-    monkeypatch.setattr(construct, "check_constraints", failing)
-    with pytest.raises(ConstructionInfeasibleError) as err:
-        construct_feasible(verify2x3_instance, np.random.default_rng(0), max_retries=3)
-    assert len(checked) == 3
-    assert str(err.value).endswith(
-        "in 3 attempts (last: constraint check failed: C1)"
-    )
+    monkeypatch.setattr(construct, "route_flows", overloaded)
+    with pytest.raises(CheckFailed, match="C10"):
+        construct_feasible(verify2x3_instance, np.random.default_rng(0))
+    assert len(routed) == 1
 
 
 def test_attempt_failures_are_candidate_rejections():
     for cls in (BackboneError, ChannelAssignmentError, GatewayBudgetError,
-                RoutingInfeasibleError, CheckFailed):
+                RoutingInfeasibleError):
         assert issubclass(cls, CandidateRejected), cls
-    # the instance-level verdict is not one more retryable attempt
+    # a failed check and the instance-level verdict are not one more
+    # retryable attempt
+    assert not issubclass(CheckFailed, CandidateRejected)
     assert not issubclass(ConstructionInfeasibleError, CandidateRejected)
 
 

@@ -22,6 +22,7 @@ from meshplan.construct import (
     construct_feasible,
 )
 from meshplan.model import (
+    CheckFailed,
     ConstraintCheck,
     ConstraintReport,
     Solution,
@@ -422,22 +423,23 @@ def test_outcomes_drop_the_oldest_entry_first(verify2x3_instance):
 
 
 def _memo_hit(instance, monkeypatch):
-    """A plan stored by one mutation, then returned by a second one."""
+    """A plan stored by one mutation, then returned by a second one. Neither
+    mutation runs the check."""
     plan = construct_feasible(instance, np.random.default_rng(0))
     empty = Solution.empty(instance)  # a fallback no attempt can equal
     outcomes = Outcomes(4)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a mutation checked its plan, or a stored "
+                             "placement was routed again")
+
+    monkeypatch.setattr(mopso, "check_constraints", forbidden)
     first = mutate_solution(plan, empty, instance, np.random.default_rng(1), 0.0,
                             outcomes=outcomes)
     assert first is not empty
     assert outcomes.lookup(plan) is first
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a stored placement was routed or checked again")
-
-    for module, name in ((construct, "assign_channels"),
-                         (construct, "route_flows"),
-                         (mopso, "check_constraints")):
-        monkeypatch.setattr(module, name, forbidden)
+    for name in ("assign_channels", "route_flows"):
+        monkeypatch.setattr(construct, name, forbidden)
     second = mutate_solution(plan, empty, instance, np.random.default_rng(2), 0.0,
                              outcomes=outcomes)
     return plan, first, second
@@ -449,24 +451,46 @@ def test_memo_hit_skips_routing_and_the_check(verify2x3_instance, monkeypatch):
     _same_plan(first, plan)  # a pipeline output rebuilds to itself
 
 
-def test_plan_failing_the_check_is_not_stored(verify2x3_instance, monkeypatch):
-    plan = construct_feasible(verify2x3_instance, np.random.default_rng(0))
-    empty = Solution.empty(verify2x3_instance)  # a fallback no attempt can equal
-    checked = []
+@pytest.mark.parametrize("k", [1, 3])
+def test_failed_check_stops_the_run(verify2x3_instance, monkeypatch, k):
+    """An emitted plan that breaks a constraint is a program fault: the run
+    raises CheckFailed at the k-th check instead of going on."""
+    calls = []
 
-    def failing(solution, instance):
-        checked.append(solution)
-        return ConstraintReport([ConstraintCheck("C1", False, [(0,)])])
+    def failing_kth(solution, instance):
+        calls.append(solution)
+        if len(calls) == k:
+            return ConstraintReport([ConstraintCheck("C1", False, [(0,)])])
+        return check_constraints(solution, instance)
 
-    monkeypatch.setattr(mopso, "check_constraints", failing)
-    outcomes = Outcomes(4)
-    out = mutate_solution(plan, empty, verify2x3_instance,
-                          np.random.default_rng(1), 0.0, retries=2,
-                          outcomes=outcomes)
-    assert out is empty
-    assert len(outcomes) == 0
-    # the second attempt, at the same placement, is routed and checked again
-    assert len(checked) == 2 and checked[0] is not checked[1]
+    monkeypatch.setattr(mopso, "check_constraints", failing_kth)
+    with pytest.raises(CheckFailed, match="constraint check failed: C1$"):
+        run(verify2x3_instance, MopsoConfig(swarm_size=4, gmax=5, seed=0))
+    assert len(calls) == k
+
+
+@pytest.mark.parametrize("workload", ["verify2x3", "ref6x6"])
+def test_emitted_plans_are_checked(workload, verify2x3_instance,
+                                   standard_instance, monkeypatch):
+    """Every plan a run can emit, the final archive and the incumbent, went
+    through the check and passed it."""
+    instance, config = {
+        "verify2x3": (verify2x3_instance, MopsoConfig(swarm_size=6, gmax=10)),
+        "ref6x6": (standard_instance, MopsoConfig(swarm_size=6, gmax=4)),
+    }[workload]
+    passed = []
+
+    def recording(solution, instance):
+        report = check_constraints(solution, instance)
+        if report.feasible:
+            passed.append(solution)
+        return report
+
+    monkeypatch.setattr(mopso, "check_constraints", recording)
+    result = run(instance, config)
+    emitted = [e.solution for e in result.archive.entries] + [result.incumbent]
+    for plan in emitted:
+        assert any(plan is seen for seen in passed)
 
 
 def test_stored_plans_are_read_only(verify2x3_instance, monkeypatch):
