@@ -1,7 +1,9 @@
 """Exhaustive ground truth on tiny instances.
 
 Enumerates every feasible deployment a search run could represent, computes
-the true Pareto front, and grades an archive against it. The default space
+the true Pareto front, and grades an archive against it. Candidates are
+built to meet C1-C9 and C14 and routing gives C10-C13, so none is re-checked;
+only one witness plan per front vector is. The default space
 mirrors the construction pipeline's policies (maximal assignments hosted on
 access points, demand-driven gateway budget, connected installed set); the
 raw constraint space, which additionally admits empty and partially assigned
@@ -185,29 +187,16 @@ def _edge_configs(nodes: tuple, b: np.ndarray, instance: PlanningInstance):
     yield from rec(0, 0)
 
 
-def _assemble(
-    instance: PlanningInstance,
-    choice: np.ndarray,
-    aps,
-    installed,
-    gateways,
-    links,
-) -> Solution:
+def _assemble(instance: PlanningInstance, choice, aps, installed, links) -> Solution:
+    """The plan with no gateway; the enumerators set gateways on copies."""
     sol = Solution.empty(instance)
-    for j in aps:
-        sol.ap[j] = 1
-    for j in installed:
-        if not sol.ap[j]:
-            sol.relay[j] = 1
-    for j in gateways:
-        sol.gateway[j] = 1
-    for i, j in enumerate(choice):
-        if j >= 0:
-            sol.x[i, j] = 1
+    sol.ap[list(aps)] = 1
+    sol.relay[[j for j in installed if j not in aps]] = 1
+    hosted = np.flatnonzero(choice >= 0)
+    sol.x[hosted, choice[hosted]] = 1
     sol.set_links((u, v, k, 1, 0.0) for u, v, k in links)
     for u, v, k in links:
-        sol.w[u, k] = 1
-        sol.w[v, k] = 1
+        sol.w[[u, v], k] = 1
     return sol
 
 
@@ -218,6 +207,9 @@ def enumerate_feasible(
     coverage_mode: str = "assigned",
 ):
     """Yield every feasible (solution, objective vector), exhaustively.
+
+    A candidate that routes is feasible by construction and is yielded
+    unchecked; `true_pareto_front` checks the plans that witness its front.
 
     Yields one plan per channel relabeling class, which has the same
     feasibility and objective vector as every other plan in it; an instance
@@ -233,8 +225,7 @@ def enumerate_feasible(
             routed, _ = route_flows(sol, instance)
         except CandidateRejected:
             continue
-        if check_constraints(routed, instance).feasible:
-            yield routed, evaluate(routed, instance, variant, coverage_mode)
+        yield routed, evaluate(routed, instance, variant, coverage_mode)
 
 
 def _policy_candidates(instance: PlanningInstance, a, b):
@@ -242,7 +233,7 @@ def _policy_candidates(instance: PlanningInstance, a, b):
     for choice, loads in _assignments(instance, a, range(sites), maximal=True):
         aps = tuple(sorted({int(j) for j in choice if j >= 0}))
         if not aps:
-            yield _assemble(instance, choice, (), (), (), ())
+            yield _assemble(instance, choice, (), (), ())
             continue
         budget = default_gateway_count(float(loads.sum()), instance.C_max)
         others = [j for j in range(sites) if j not in aps]
@@ -254,10 +245,11 @@ def _policy_candidates(instance: PlanningInstance, a, b):
                 if not _valid_installed(installed, b):
                     continue
                 for links in _edge_configs(installed, b, instance):
+                    plan = _assemble(instance, choice, aps, installed, links)
                     for gws in combinations(installed, budget):
-                        yield _assemble(
-                            instance, choice, aps, installed, gws, links
-                        )
+                        sol = plan.copy()
+                        sol.gateway[list(gws)] = 1
+                        yield sol
 
 
 def _raw_candidates(instance: PlanningInstance, a, b):
@@ -270,11 +262,12 @@ def _raw_candidates(instance: PlanningInstance, a, b):
             continue
         for choice, _loads in _assignments(instance, a, installed, maximal=False):
             for links in _edge_configs(installed, b, instance):
+                plan = _assemble(instance, choice, aps, installed, links)
                 for gcount in range(len(installed) + 1):
                     for gws in combinations(installed, gcount):
-                        yield _assemble(
-                            instance, choice, aps, installed, gws, links
-                        )
+                        sol = plan.copy()
+                        sol.gateway[list(gws)] = 1
+                        yield sol
 
 
 def true_pareto_front(
@@ -288,16 +281,22 @@ def true_pareto_front(
     Built from one plan per channel relabeling class (every labeling under
     capacity overrides); a relabeling never changes an objective vector, so
     the front is that of the full space.
+
+    Each vector's first enumerated plan is its witness; each front vector's
+    witness must pass `check_constraints`, else CheckFailed (a program
+    fault). A front vector with a feasible witness is on the feasible front.
     """
-    vectors = {
-        tuple(float(x) for x in vec)
-        for _, vec in enumerate_feasible(
-            instance, variant, policy_matched, coverage_mode
-        )
-    }
-    ordered = sorted(vectors)
+    witnesses = {}
+    for plan, vec in enumerate_feasible(
+        instance, variant, policy_matched, coverage_mode
+    ):
+        witnesses.setdefault(tuple(float(x) for x in vec), plan)
+    ordered = sorted(witnesses)
     mask = pareto_mask(np.array(ordered, dtype=np.float64))
-    return [ordered[i] for i in range(len(ordered)) if mask[i]]
+    front = [ordered[i] for i in range(len(ordered)) if mask[i]]
+    for vec in front:
+        check_constraints(witnesses[vec], instance).require()
+    return front
 
 
 def verify_archive(archive, truth) -> dict:

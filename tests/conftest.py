@@ -170,6 +170,14 @@ def assert_flow_conserved(solution: Solution, instance: PlanningInstance):
     assert abs(solution.F.sum() - loads.sum()) <= FEAS_TOL
 
 
+def assert_same_plan(got, want, names=PLAN_ARRAYS):
+    """The named arrays of two plans agree in dtype, shape and bytes."""
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
 def assert_feasible(solution: Solution, instance: PlanningInstance):
     report = check_constraints(solution, instance)
     assert report.feasible, [c.id for c in report.failed()]

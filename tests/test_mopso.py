@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     PLAN_ARRAYS,
     assert_feasible,
+    assert_same_plan,
     make_line_instance,
     make_verify2x3_instance,
     planning_cases,
@@ -333,13 +334,6 @@ def test_stats_csv_schema(standard_instance):
         assert text.endswith("\n")
 
 
-def _same_plan(got, want):
-    for name in PLAN_ARRAYS:
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-        assert a.tobytes() == b.tobytes(), name
-
-
 def _run_recording_offers(instance, config):
     """run(instance, config) and the bytes of every candidate it offered to
     the archive: the nine plan arrays and the objective vector."""
@@ -388,8 +382,8 @@ def test_outcome_memo_changes_no_result(case, capacity):
         e.seq for e in plain.archive.entries
     ]
     for got, want in zip(memo.archive.entries, plain.archive.entries):
-        _same_plan(got.solution, want.solution)
-    _same_plan(memo.incumbent, plain.incumbent)
+        assert_same_plan(got.solution, want.solution)
+    assert_same_plan(memo.incumbent, plain.incumbent)
     assert np.array_equal(memo.incumbent_objectives, plain.incumbent_objectives)
 
 
@@ -448,7 +442,7 @@ def _memo_hit(instance, monkeypatch):
 def test_memo_hit_skips_routing_and_the_check(verify2x3_instance, monkeypatch):
     plan, first, second = _memo_hit(verify2x3_instance, monkeypatch)
     assert second is first
-    _same_plan(first, plan)  # a pipeline output rebuilds to itself
+    assert_same_plan(first, plan)  # a pipeline output rebuilds to itself
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -1,16 +1,17 @@
 import dataclasses
 import json
 import math
-from itertools import combinations, product
+from itertools import combinations, islice, product, zip_longest
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     FIXTURES,
     assert_feasible,
+    assert_same_plan,
     make_line_instance,
     make_square_instance,
 )
@@ -21,11 +22,19 @@ from meshplan.instance import (
     RadioParams,
     build_grid_instance,
     connectivity_matrix,
+    coverage_matrix,
+    default_gateway_count,
     load_instance,
     save_instance,
 )
 from meshplan.kernels import pareto_mask
-from meshplan.model import ConstraintCheck, ConstraintReport, evaluate
+from meshplan.model import (
+    CheckFailed,
+    ConstraintCheck,
+    ConstraintReport,
+    Solution,
+    evaluate,
+)
 from meshplan.oracle import (
     GuardError,
     enumerate_feasible,
@@ -351,16 +360,182 @@ def test_enumeration_includes_only_feasible(one_dp_instance):
         assert_feasible(sol, one_dp_instance)
 
 
-def test_candidates_failing_the_check_are_skipped(toy_instance, monkeypatch):
-    checked = []
+def test_a_failing_witness_check_raises(toy_instance, tmp_path, monkeypatch):
+    """A witness that fails the check is a program fault: the front raises
+    CheckFailed, and so does verify, instead of exiting 2."""
 
     def failing(solution, instance):
-        checked.append(solution)
         return ConstraintReport([ConstraintCheck("C1", False, [(0,)])])
 
     monkeypatch.setattr(oracle, "check_constraints", failing)
-    assert list(enumerate_feasible(toy_instance)) == []
-    assert checked
+    with pytest.raises(CheckFailed, match="constraint check failed: C1$"):
+        true_pareto_front(toy_instance)
+    argv = ["verify", "--instance", str(FIXTURES / "toy2x2_instance.json"),
+            "--out", str(tmp_path / "out")]
+    with pytest.raises(CheckFailed, match="constraint check failed: C1$"):
+        main(argv)
+
+
+@pytest.mark.parametrize("name, variant", [
+    ("toy", "lglb"), ("toy", "cov"), ("verify2x3", "lglb"),
+])
+def test_one_check_per_front_vector(
+    name, variant, toy_instance, verify2x3_instance, monkeypatch
+):
+    inst = {"toy": toy_instance, "verify2x3": verify2x3_instance}[name]
+    checked = []
+    check = oracle.check_constraints
+
+    def recording(solution, instance):
+        checked.append(solution)
+        return check(solution, instance)
+
+    monkeypatch.setattr(oracle, "check_constraints", recording)
+    front = true_pareto_front(inst, variant)
+    assert front
+    assert [tuple(evaluate(sol, inst, variant)) for sol in checked] == front
+
+
+def _assemble_reference(instance, choice, aps, installed, gateways, links):
+    """One plan built from zeros per gateway subset, as the enumerators did
+    before they set gateways on copies of one plan per link set."""
+    sol = Solution.empty(instance)
+    for j in aps:
+        sol.ap[j] = 1
+    for j in installed:
+        if not sol.ap[j]:
+            sol.relay[j] = 1
+    for j in gateways:
+        sol.gateway[j] = 1
+    for i, j in enumerate(choice):
+        if j >= 0:
+            sol.x[i, j] = 1
+    sol.set_links((u, v, k, 1, 0.0) for u, v, k in links)
+    for u, v, k in links:
+        sol.w[u, k] = 1
+        sol.w[v, k] = 1
+    return sol
+
+
+def _policy_candidates_reference(instance, a, b):
+    sites = instance.num_sites
+    for choice, loads in oracle._assignments(instance, a, range(sites), True):
+        aps = tuple(sorted({int(j) for j in choice if j >= 0}))
+        if not aps:
+            yield _assemble_reference(instance, choice, (), (), (), ())
+            continue
+        budget = default_gateway_count(float(loads.sum()), instance.C_max)
+        others = [j for j in range(sites) if j not in aps]
+        for r in range(len(others) + 1):
+            for extra in combinations(others, r):
+                installed = tuple(sorted(aps + extra))
+                if budget > len(installed):
+                    continue
+                if not oracle._valid_installed(installed, b):
+                    continue
+                for links in oracle._edge_configs(installed, b, instance):
+                    for gws in combinations(installed, budget):
+                        yield _assemble_reference(
+                            instance, choice, aps, installed, gws, links
+                        )
+
+
+def _raw_candidates_reference(instance, a, b):
+    sites = instance.num_sites
+    for roles in product((0, 1, 2), repeat=sites):
+        installed = tuple(j for j in range(sites) if roles[j] > 0)
+        aps = tuple(j for j in range(sites) if roles[j] == 1)
+        if not oracle._min_degree_two(installed, b):
+            continue
+        for choice, _ in oracle._assignments(instance, a, installed, False):
+            for links in oracle._edge_configs(installed, b, instance):
+                for gcount in range(len(installed) + 1):
+                    for gws in combinations(installed, gcount):
+                        yield _assemble_reference(
+                            instance, choice, aps, installed, gws, links
+                        )
+
+
+@pytest.mark.parametrize("name, policy_matched", [
+    ("toy", True), ("toy", False), ("toy_every_labeling", True),
+    ("toy_every_labeling", False), ("verify2x3", True),
+])
+def test_enumerators_match_the_per_candidate_reference(
+    name, policy_matched, toy_instance, verify2x3_instance
+):
+    inst = {
+        "toy": toy_instance,
+        "toy_every_labeling": every_labeling(toy_instance),
+        "verify2x3": verify2x3_instance,
+    }[name]
+    a, b = coverage_matrix(inst), connectivity_matrix(inst)
+    if policy_matched:
+        got = oracle._policy_candidates(inst, a, b)
+        want = _policy_candidates_reference(inst, a, b)
+    else:
+        got = oracle._raw_candidates(inst, a, b)
+        want = _raw_candidates_reference(inst, a, b)
+    count = 0
+    for g, w in zip_longest(got, want):
+        assert g is not None and w is not None, count
+        assert_same_plan(g, w)
+        count += 1
+    assert count > 0
+
+
+#: Spaces with more candidates are drawn again, to keep the test short.
+SPACE_LIMIT = 1_500
+
+
+@st.composite
+def oracle_spaces(draw):
+    """An instance within the guard and whether to enumerate the policy
+    space (2x2 or 2x3, 1-4 DPs) or the raw one (2x2, 1-2 DPs); random
+    matrices, mixed traffic and capacity overrides in some draws."""
+    policy_matched = draw(st.booleans())
+    rows, cols = draw(st.sampled_from([(2, 2), (2, 3)])) if policy_matched else (2, 2)
+    # three radios only on the 2x2 policy space: elsewhere they give
+    # thousands of link sets
+    radios = draw(st.integers(2, 3)) if policy_matched and cols == 2 else 2
+    inst = build_grid_instance(
+        rows, cols, n_dps=draw(st.integers(1, 4 if policy_matched else 2)),
+        radio=RadioParams(
+            radios=radios, channels=draw(st.integers(radios, 3)),
+            capacity=draw(st.sampled_from([4.0, 6.0, 8.0])),
+        ),
+        seed=draw(st.integers(0, 999)),
+        coverage_radius=draw(st.sampled_from([0.8, 1.0])),
+        random_matrix_density=draw(st.sampled_from([None, 0.5, 0.75, 1.0])),
+    )
+    traffic = np.array(draw(st.lists(
+        st.sampled_from([1.0, 2.0, 3.0]),
+        min_size=inst.num_dps, max_size=inst.num_dps,
+    )))
+    pairs = list(combinations(range(inst.num_sites), 2))
+    overrides = draw(st.lists(
+        st.tuples(st.sampled_from(pairs), st.integers(0, inst.K - 1),
+                  st.sampled_from([1.0, 2.0, 3.0])),
+        max_size=2,
+    ))
+    inst = dataclasses.replace(
+        inst, dp_traffic=traffic, M=inst.num_dps * float(traffic.max()),
+        capacity_overrides=tuple((j, l, k, cap) for (j, l), k, cap in overrides),
+    )
+    return inst, policy_matched
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_spaces())
+def test_every_candidate_that_routes_passes_the_check(case):
+    """The premise of checking only the front's witnesses: the enumerators
+    build every candidate to meet C1-C9 and C14 and routing gives C10-C13,
+    so the check never rejects a candidate that routes."""
+    inst, policy_matched = case
+    a, b = coverage_matrix(inst), connectivity_matrix(inst)
+    space = oracle._policy_candidates if policy_matched else oracle._raw_candidates
+    assume(sum(1 for _ in islice(space(inst, a, b), SPACE_LIMIT + 1)) <= SPACE_LIMIT)
+    for sol, _ in enumerate_feasible(inst, policy_matched=policy_matched):
+        assert_feasible(sol, inst)
 
 
 def test_guard_refuses_large_instances():

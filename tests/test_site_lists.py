@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    PLAN_ARRAYS,
+    assert_same_plan,
     make_line_instance,
     mixed_traffic_cases,
     planning_cases,
@@ -190,13 +190,6 @@ def assign_channels_matrix(partial, instance):
             f"nodes left with fewer than two links: {lonely}"
         )
     return partial
-
-
-def assert_same_plan(got, want, names=PLAN_ARRAYS):
-    for name in names:
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-        assert a.tobytes() == b.tobytes(), name
 
 
 def outcome(step, plan, instance):
