@@ -9,9 +9,10 @@ access points, demand-driven gateway budget, connected installed set); the
 raw constraint space, which additionally admits empty and partially assigned
 deployments, is available for diagnostics via policy_matched=False.
 
-Channel labels are interchangeable when every link has capacity C_max, so
-each space is enumerated with one plan per channel relabeling class (see
-`_edge_configs`); an instance with capacity overrides gets every labeling.
+When every link has capacity C_max, the channels on a set of linked site
+pairs change neither routing nor any objective, so each space is enumerated
+with one channel assignment per set of linked pairs (see `_edge_configs`);
+an instance with capacity overrides gets every assignment.
 
 A hard combinatorial guard refuses instances beyond 6 sites, 8 demand
 points, or 3 channels.
@@ -122,21 +123,23 @@ def _edge_configs(nodes: tuple, b: np.ndarray, instance: PlanningInstance):
     Yields lists of (u, v, k): at most R links and unique channels per node,
     and at least two links per node; each node needs two neighbours over b.
 
-    One labeling per channel relabeling class is yielded: the one whose
-    channels first appear, in edge order, as 0, 1, 2, ... Each edge takes a
-    channel already picked or the lowest one not yet picked (`top` counts
-    the channels picked so far). This is exact when every link has capacity
-    C_max, because then a relabeled plan is feasible exactly when the
-    original is, with the same objective vector:
-    - at most one channel sits on each site pair, and the rules above are
-      invariant under any permutation of channel labels;
-    - `_assemble` sets `w` from the links;
-    - `route_flows` takes a pair's lowest admissible channel, its only one;
-    - in `check_constraints`, C3, C5 and C6 count per (node, channel), C7
-      reads `w` at both ends, C8 sums rows and C10 uses one capacity;
-    - no objective of `evaluate` reads `k`.
+    One channel assignment per set of linked pairs is yielded: the first
+    the recursion reaches (skip an edge, then ascending k). `top` counts the
+    channels picked so far and prunes to the labelings whose channels first
+    appear, in edge order, as 0, 1, 2, ..., which include that first one.
+    This is exact when every link has capacity C_max, because then every
+    assignment of the same pairs gives a plan with the same routing and
+    objective vector, and it routes exactly when the kept one does:
+    - each yielded link set puts one channel on each linked pair;
+    - `route_flows` reads a pair's only row through `lowest_row`, at
+      capacity C_max whatever its `k`, so the flows, paths and F are the
+      same;
+    - no objective of `evaluate` reads `w`, and the link residual reads
+      `k` only for that same capacity;
+    - the kept assignment comes first, so each vector's witness in
+      `true_pareto_front` is unchanged.
     Capacity overrides make capacity depend on `k`, so an instance with any
-    override gets every labeling.
+    override gets every assignment.
     """
     R, K = instance.R, instance.K
     relabel = not instance.capacity_overrides
@@ -153,10 +156,14 @@ def _edge_configs(nodes: tuple, b: np.ndarray, instance: PlanningInstance):
     degree = {v: 0 for v in nodes}
     used = {v: set() for v in nodes}
     picked: list = []
+    seen = set()
 
     def rec(e, top):
         if e == len(edges):
-            yield list(picked)
+            pairs = tuple((u, v) for u, v, _ in picked)
+            if not relabel or pairs not in seen:
+                seen.add(pairs)
+                yield list(picked)
             return
         u, v = edges[e]
         if not (
@@ -211,9 +218,9 @@ def enumerate_feasible(
     A candidate that routes is feasible by construction and is yielded
     unchecked; `true_pareto_front` checks the plans that witness its front.
 
-    Yields one plan per channel relabeling class, which has the same
-    feasibility and objective vector as every other plan in it; an instance
-    with capacity overrides yields every labeling.
+    Yields one channel assignment per set of linked pairs, which routes and
+    scores as every other assignment of those pairs does; an instance with
+    capacity overrides yields every assignment.
     """
     _check_guard(instance)
     variant = parse_variant(variant)
@@ -278,9 +285,9 @@ def true_pareto_front(
 ) -> list:
     """Deduplicated non-dominated objective vectors, sorted lexicographically.
 
-    Built from one plan per channel relabeling class (every labeling under
-    capacity overrides); a relabeling never changes an objective vector, so
-    the front is that of the full space.
+    Built from one channel assignment per set of linked pairs (every
+    assignment under capacity overrides); the channels never change an
+    objective vector, so the front is that of the full space.
 
     Each vector's first enumerated plan is its witness; each front vector's
     witness must pass `check_constraints`, else CheckFailed (a program

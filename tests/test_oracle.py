@@ -48,8 +48,8 @@ SQRT2 = math.sqrt(2.0)
 def every_labeling(instance):
     """The instance with a no-op capacity override on link (0, 1, 0).
 
-    Any override makes the oracle enumerate every channel labeling instead
-    of one per relabeling class, so this copy takes the full path.
+    Any override makes the oracle enumerate every channel assignment instead
+    of one per set of linked pairs, so this copy takes the full path.
     """
     return dataclasses.replace(
         instance, capacity_overrides=((0, 1, 0, instance.C_max),)
@@ -160,11 +160,11 @@ def test_raw_enumeration_is_superset(one_dp_instance):
     assert len(front) == 3
 
 
-def test_benchmark_instance_routes_one_labeling_per_class(
+def test_benchmark_instance_routes_one_labeling_per_pair_set(
     verify2x3_instance, monkeypatch
 ):
-    # the verify2x3 benchmark instance: 528 link configurations, each of
-    # them under all 3! channel labelings on the full path
+    # the verify2x3 benchmark instance: 120 candidates with one channel
+    # assignment per set of linked pairs, 7,920 with every labeling
     inst = verify2x3_instance
     calls = 0
     route_flows = oracle.route_flows
@@ -177,10 +177,26 @@ def test_benchmark_instance_routes_one_labeling_per_class(
     monkeypatch.setattr(oracle, "route_flows", counted)
     front = [(8.0, -6.0, -6.0, 2.449489742783178)]
     assert true_pareto_front(inst) == front
-    assert calls == 1_320
+    assert calls == 120
     calls = 0
     assert true_pareto_front(every_labeling(inst)) == front
     assert calls == 7_920
+
+
+def test_two_point_front_on_2x3_seed_5():
+    """The verify2x3 build at instance seed 5 has a two-point lglb front."""
+    inst = build_grid_instance(
+        2, 3, 6, RadioParams(radios=2, channels=3, capacity=8.0), 5,
+        coverage_radius=0.8,
+    )
+    lglb = [(6.0, -6.0, -8.0, 2.581988897471611),
+            (8.0, -6.0, -6.0, 2.449489742783178)]
+    assert true_pareto_front(inst) == lglb
+    assert true_pareto_front(inst, "cov") == [(6.0, -6.0)]
+    full = every_labeling(inst)
+    every = [(sol, tuple(vec)) for sol, vec in enumerate_feasible(full)]
+    assert _front(vec for _, vec in every) == lglb
+    assert _front(evaluate(sol, full, "cov") for sol, _ in every) == [(6.0, -6.0)]
 
 
 def _front(vectors):
@@ -225,26 +241,56 @@ def tiny_instances(draw):
     )
 
 
+def _class_key(sol):
+    """Roles, assignment and linked site pairs: all but the channels."""
+    pairs = frozenset((min(j, l), max(j, l)) for j, l, _ in sol.link_list())
+    return (sol.ap.tobytes(), sol.relay.tobytes(), sol.gateway.tobytes(),
+            sol.x.tobytes(), pairs)
+
+
+def _assert_one_plan_per_class(inst, policy_matched):
+    """The reduced path yields one plan per class of the full path, and
+    every full-path plan has its class's vector; so both fronts agree."""
+    reduced = {}
+    for sol, vec in enumerate_feasible(inst, policy_matched=policy_matched):
+        assert_feasible(sol, inst)
+        key = _class_key(sol)
+        assert key not in reduced
+        reduced[key] = tuple(vec)
+    # stream the full path: the raw space runs to tens of thousands of plans
+    full = every_labeling(inst)
+    keys, lglb, cov = set(), set(), set()
+    for sol, vec in enumerate_feasible(full, policy_matched=policy_matched):
+        key = _class_key(sol)
+        assert reduced[key] == tuple(vec)
+        keys.add(key)
+        lglb.add(tuple(vec))
+        cov.add(tuple(evaluate(sol, full, "cov")))
+    assert keys == reduced.keys()
+    assert true_pareto_front(inst, policy_matched=policy_matched) == _front(lglb)
+    assert true_pareto_front(
+        inst, "cov", policy_matched=policy_matched
+    ) == _front(cov)
+
+
 @settings(max_examples=20, deadline=None)
 @given(tiny_instances())
 def test_one_labeling_per_class_is_exact(inst):
-    reduced = list(enumerate_feasible(inst))
-    for sol, _ in reduced:
-        assert_feasible(sol, inst)
-    # each representative stands for K! / (K - c)! labelings, c being the
-    # number of distinct channels on its links
-    orbit_total = sum(
-        math.perm(inst.K, len({k for _, _, k in sol.link_list()}))
-        for sol, _ in reduced
-    )
-    # one pass over the full path gives its count and both of its fronts
-    full = every_labeling(inst)
-    every = list(enumerate_feasible(full))
-    assert len(every) == orbit_total
-    assert true_pareto_front(inst) == _front(v for _, v in every)
-    assert true_pareto_front(inst, variant="cov") == _front(
-        evaluate(sol, full, "cov") for sol, _ in every
-    )
+    # a class is every plan with the same roles, assignment and linked
+    # pairs, whatever the channels on them
+    _assert_one_plan_per_class(inst, policy_matched=True)
+    # the raw space only on 2x2 draws with 2 DPs at K = 2: with 5 DPs, or
+    # at K = 3, its full path runs 15-25 s; the next test covers K = 3
+    if inst.num_sites == 4 and inst.num_dps == 2 and inst.K == 2:
+        _assert_one_plan_per_class(inst, policy_matched=False)
+
+
+def test_one_labeling_per_class_is_exact_on_a_three_channel_cycle():
+    # the 4-cycle at K = 3 has 18 channel assignments in three relabeling
+    # classes, all on one pair set; one DP sits on each of two sites
+    inst = make_square_instance(dp_sites=(0, 3), K=3)
+    _assert_one_plan_per_class(inst, policy_matched=True)
+    _assert_one_plan_per_class(inst, policy_matched=False)
 
 
 def _degree_two_reference(nodes, b):
@@ -293,20 +339,25 @@ def test_installed_set_checks_match_dfs_reference(b):
 def _edge_configs_reference(nodes, b, R, K):
     """Every channelled link set on `nodes` over b, by brute force.
 
-    One channel per linked pair, channels distinct at each node, 2 to R
-    links per node, and channels first used, in edge order, as 0, 1, 2, ...
+    One channel per linked pair, channels distinct at each node and 2 to R
+    links per node. Returns the first such link set of each set of linked
+    pairs, in `product` order, and every such link set.
     """
     edges = [(u, v) for u, v in combinations(nodes, 2) if b[u, v]]
-    configs = []
+    valid = []
     for chans in product(range(-1, K), repeat=len(edges)):  # -1: no link
         links = [(u, v, k) for (u, v), k in zip(edges, chans) if k >= 0]
-        firsts = list(dict.fromkeys(k for _, _, k in links))
         at = [[k for u, v, k in links if node in (u, v)] for node in nodes]
-        if firsts == list(range(len(firsts))) and all(
-            2 <= len(ks) <= R and len(set(ks)) == len(ks) for ks in at
-        ):
-            configs.append(links)
-    return configs
+        if all(2 <= len(ks) <= R and len(set(ks)) == len(ks) for ks in at):
+            valid.append(links)
+    firsts = {}
+    for links in valid:
+        firsts.setdefault(_pairs(links), links)
+    return list(firsts.values()), valid
+
+
+def _pairs(links):
+    return tuple((u, v) for u, v, _ in links)
 
 
 def _degree_two_graphs(max_nodes):
@@ -352,7 +403,11 @@ def test_edge_configs_match_brute_force(case):
     inst, b = case
     nodes = tuple(range(len(b)))
     got = list(oracle._edge_configs(nodes, b, inst))
-    assert sorted(got) == sorted(_edge_configs_reference(nodes, b, inst.R, inst.K))
+    # the recursion's order (skip an edge, then ascending k) and product's
+    # are both lexicographic, so the same link set comes first
+    firsts, valid = _edge_configs_reference(nodes, b, inst.R, inst.K)
+    assert got == firsts
+    assert {_pairs(links) for links in got} == {_pairs(links) for links in valid}
 
 
 def test_enumeration_includes_only_feasible(one_dp_instance):
