@@ -9,10 +9,7 @@ access points, demand-driven gateway budget, connected installed set); the
 raw constraint space, which additionally admits empty and partially assigned
 deployments, is available for diagnostics via policy_matched=False.
 
-When every link has capacity C_max, the channels on a set of linked site
-pairs change neither routing nor any objective, so each space is enumerated
-with one channel assignment per set of linked pairs (see `_edge_configs`);
-an instance with capacity overrides gets every assignment.
+Channels: one assignment per set of linked site pairs, see `_edge_configs`.
 
 A hard combinatorial guard refuses instances beyond 6 sites, 8 demand
 points, or 3 channels.
@@ -20,7 +17,7 @@ points, or 3 channels.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -123,26 +120,22 @@ def _edge_configs(nodes: tuple, b: np.ndarray, instance: PlanningInstance):
     Yields lists of (u, v, k): at most R links and unique channels per node,
     and at least two links per node; each node needs two neighbours over b.
 
-    One channel assignment per set of linked pairs is yielded: the first
-    the recursion reaches (skip an edge, then ascending k). `top` counts the
-    channels picked so far and prunes to the labelings whose channels first
-    appear, in edge order, as 0, 1, 2, ..., which include that first one.
-    This is exact when every link has capacity C_max, because then every
-    assignment of the same pairs gives a plan with the same routing and
-    objective vector, and it routes exactly when the kept one does:
+    First the sets of linked pairs, skipping an edge before taking it; then,
+    for each set, its first channel assignment in ascending k, and none if
+    it has no proper one. One assignment per pair set is exact when every
+    link has capacity C_max, because then every assignment of the same pairs
+    gives a plan with the same routing and objective vector, and it routes
+    exactly when the kept one does:
     - each yielded link set puts one channel on each linked pair;
     - `route_flows` reads a pair's only row through `lowest_row`, at
       capacity C_max whatever its `k`, so the flows, paths and F are the
       same;
     - no objective of `evaluate` reads `w`, and the link residual reads
-      `k` only for that same capacity;
-    - the kept assignment comes first, so each vector's witness in
-      `true_pareto_front` is unchanged.
+      `k` only for that same capacity.
     Capacity overrides make capacity depend on `k`, so an instance with any
     override gets every assignment.
     """
     R, K = instance.R, instance.K
-    relabel = not instance.capacity_overrides
     edges = [
         (u, v)
         for ui, u in enumerate(nodes)
@@ -154,57 +147,55 @@ def _edge_configs(nodes: tuple, b: np.ndarray, instance: PlanningInstance):
         last_edge[u] = e
         last_edge[v] = e
     degree = {v: 0 for v in nodes}
-    used = {v: set() for v in nodes}
-    picked: list = []
-    seen = set()
 
-    def rec(e, top):
+    def pair_sets(e, pairs):
         if e == len(edges):
-            pairs = tuple((u, v) for u, v, _ in picked)
-            if not relabel or pairs not in seen:
-                seen.add(pairs)
-                yield list(picked)
+            yield pairs
             return
         u, v = edges[e]
-        if not (
-            (last_edge[u] == e and degree[u] < 2)
-            or (last_edge[v] == e and degree[v] < 2)
-        ):
-            yield from rec(e + 1, top)
-        if degree[u] < R and degree[v] < R:
-            for k in range(min(K, top + 1) if relabel else K):
-                if k in used[u] or k in used[v]:
-                    continue
-                if last_edge[u] == e and degree[u] + 1 < 2:
-                    continue
-                if last_edge[v] == e and degree[v] + 1 < 2:
-                    continue
-                degree[u] += 1
-                degree[v] += 1
-                used[u].add(k)
-                used[v].add(k)
-                picked.append((u, v, k))
-                yield from rec(e + 1, max(top, k + 1))
-                picked.pop()
-                used[v].discard(k)
-                used[u].discard(k)
-                degree[v] -= 1
-                degree[u] -= 1
+        # a node at its last edge with fewer than two links must take it,
+        # and taking it is useless unless that lifts the node to two
+        last = [w for w in (u, v) if last_edge[w] == e]
+        if all(degree[w] >= 2 for w in last):
+            yield from pair_sets(e + 1, pairs)
+        if degree[u] < R and degree[v] < R and all(degree[w] >= 1 for w in last):
+            degree[u] += 1
+            degree[v] += 1
+            yield from pair_sets(e + 1, pairs + [(u, v)])
+            degree[v] -= 1
+            degree[u] -= 1
 
-    yield from rec(0, 0)
+    def assignments(pairs, links):
+        if len(links) == len(pairs):
+            yield links
+            return
+        u, v = pairs[len(links)]
+        taken = {k for j, l, k in links if j in (u, v) or l in (u, v)}
+        for k in range(K):
+            if k not in taken:
+                yield from assignments(pairs, links + [(u, v, k)])
+
+    every = None if instance.capacity_overrides else 1
+    for pairs in pair_sets(0, []):
+        yield from islice(assignments(pairs, []), every)
 
 
-def _assemble(instance: PlanningInstance, choice, aps, installed, links) -> Solution:
-    """The plan with no gateway; the enumerators set gateways on copies."""
-    sol = Solution.empty(instance)
-    sol.ap[list(aps)] = 1
-    sol.relay[[j for j in installed if j not in aps]] = 1
-    hosted = np.flatnonzero(choice >= 0)
-    sol.x[hosted, choice[hosted]] = 1
-    sol.set_links((u, v, k, 1, 0.0) for u, v, k in links)
-    for u, v, k in links:
-        sol.w[[u, v], k] = 1
-    return sol
+def _plans(instance: PlanningInstance, b, choice, aps, installed, counts):
+    """Each link set on `installed`, with every gateway subset of each count."""
+    for links in _edge_configs(installed, b, instance):
+        plan = Solution.empty(instance)
+        plan.ap[list(aps)] = 1
+        plan.relay[[j for j in installed if j not in aps]] = 1
+        hosted = np.flatnonzero(choice >= 0)
+        plan.x[hosted, choice[hosted]] = 1
+        plan.set_links((u, v, k, 1, 0.0) for u, v, k in links)
+        for u, v, k in links:
+            plan.w[[u, v], k] = 1
+        for count in counts:
+            for gws in combinations(installed, count):
+                sol = plan.copy()
+                sol.gateway[list(gws)] = 1
+                yield sol
 
 
 def enumerate_feasible(
@@ -217,10 +208,7 @@ def enumerate_feasible(
 
     A candidate that routes is feasible by construction and is yielded
     unchecked; `true_pareto_front` checks the plans that witness its front.
-
-    Yields one channel assignment per set of linked pairs, which routes and
-    scores as every other assignment of those pairs does; an instance with
-    capacity overrides yields every assignment.
+    Channels as in `_edge_configs`.
     """
     _check_guard(instance)
     variant = parse_variant(variant)
@@ -240,23 +228,15 @@ def _policy_candidates(instance: PlanningInstance, a, b):
     for choice, loads in _assignments(instance, a, range(sites), maximal=True):
         aps = tuple(sorted({int(j) for j in choice if j >= 0}))
         if not aps:
-            yield _assemble(instance, choice, (), (), ())
+            yield from _plans(instance, b, choice, (), (), (0,))
             continue
         budget = default_gateway_count(float(loads.sum()), instance.C_max)
         others = [j for j in range(sites) if j not in aps]
         for r in range(len(others) + 1):
             for extra in combinations(others, r):
                 installed = tuple(sorted(aps + extra))
-                if budget > len(installed):
-                    continue
-                if not _valid_installed(installed, b):
-                    continue
-                for links in _edge_configs(installed, b, instance):
-                    plan = _assemble(instance, choice, aps, installed, links)
-                    for gws in combinations(installed, budget):
-                        sol = plan.copy()
-                        sol.gateway[list(gws)] = 1
-                        yield sol
+                if budget <= len(installed) and _valid_installed(installed, b):
+                    yield from _plans(instance, b, choice, aps, installed, (budget,))
 
 
 def _raw_candidates(instance: PlanningInstance, a, b):
@@ -267,14 +247,9 @@ def _raw_candidates(instance: PlanningInstance, a, b):
         aps = tuple(j for j in range(sites) if roles[j] == 1)
         if not _min_degree_two(installed, b):
             continue
+        counts = range(len(installed) + 1)
         for choice, _loads in _assignments(instance, a, installed, maximal=False):
-            for links in _edge_configs(installed, b, instance):
-                plan = _assemble(instance, choice, aps, installed, links)
-                for gcount in range(len(installed) + 1):
-                    for gws in combinations(installed, gcount):
-                        sol = plan.copy()
-                        sol.gateway[list(gws)] = 1
-                        yield sol
+            yield from _plans(instance, b, choice, aps, installed, counts)
 
 
 def true_pareto_front(
@@ -285,9 +260,7 @@ def true_pareto_front(
 ) -> list:
     """Deduplicated non-dominated objective vectors, sorted lexicographically.
 
-    Built from one channel assignment per set of linked pairs (every
-    assignment under capacity overrides); the channels never change an
-    objective vector, so the front is that of the full space.
+    Channels as in `_edge_configs`, which keeps the front of the full space.
 
     Each vector's first enumerated plan is its witness; each front vector's
     witness must pass `check_constraints`, else CheckFailed (a program

@@ -25,6 +25,7 @@ from meshplan.instance import (
     coverage_matrix,
     default_gateway_count,
     load_instance,
+    row_capacities,
     save_instance,
 )
 from meshplan.kernels import pareto_mask
@@ -32,6 +33,7 @@ from meshplan.model import (
     CheckFailed,
     ConstraintCheck,
     ConstraintReport,
+    FEAS_TOL,
     Solution,
     evaluate,
 )
@@ -336,24 +338,32 @@ def test_installed_set_checks_match_dfs_reference(b):
             )
 
 
-def _edge_configs_reference(nodes, b, R, K):
-    """Every channelled link set on `nodes` over b, by brute force.
-
-    One channel per linked pair, channels distinct at each node and 2 to R
-    links per node. Returns the first such link set of each set of linked
-    pairs, in `product` order, and every such link set.
-    """
-    edges = [(u, v) for u, v in combinations(nodes, 2) if b[u, v]]
-    valid = []
-    for chans in product(range(-1, K), repeat=len(edges)):  # -1: no link
-        links = [(u, v, k) for (u, v), k in zip(edges, chans) if k >= 0]
+def _link_sets(nodes, pairs, R, channels):
+    """Each link set with one of `channels` per pair (-1: no link), in
+    `product` order, with 2 to R links at each node on distinct channels."""
+    found = []
+    for chans in product(channels, repeat=len(pairs)):
+        links = [(u, v, k) for (u, v), k in zip(pairs, chans) if k >= 0]
         at = [[k for u, v, k in links if node in (u, v)] for node in nodes]
         if all(2 <= len(ks) <= R and len(set(ks)) == len(ks) for ks in at):
-            valid.append(links)
-    firsts = {}
-    for links in valid:
-        firsts.setdefault(_pairs(links), links)
-    return list(firsts.values()), valid
+            found.append(links)
+    return found
+
+
+def _edge_configs_reference(nodes, b, R, K, every):
+    """The channelled link sets on `nodes` over b, by brute force.
+
+    Pair sets come in `product((0, 1))` order (0: no link), each with its
+    proper colourings in `product(range(K))` order: the first one, or all
+    of them with `every`. Also returns every proper link set.
+    """
+    edges = [(u, v) for u, v in combinations(nodes, 2) if b[u, v]]
+    want = []
+    for taken in product((0, 1), repeat=len(edges)):
+        pairs = [e for e, t in zip(edges, taken) if t]
+        colourings = _link_sets(nodes, pairs, R, range(K))
+        want += colourings if every else colourings[:1]
+    return want, _link_sets(nodes, edges, R, range(-1, K))
 
 
 def _pairs(links):
@@ -382,11 +392,11 @@ DEGREE_TWO_GRAPHS = _degree_two_graphs(4)
 @st.composite
 def edge_config_cases(draw):
     """Radio limits and a connectivity matrix on at most 4 nodes, each with
-    two neighbors."""
+    two neighbors; with a capacity override in half the draws."""
     b = draw(st.sampled_from(DEGREE_TWO_GRAPHS))
     radios = draw(st.integers(2, 3))
     inst = make_line_instance(len(b), R=radios, K=draw(st.integers(radios, 3)))
-    return inst, b
+    return (every_labeling(inst) if draw(st.booleans()) else inst), b
 
 
 def complete_graph_case():
@@ -396,17 +406,31 @@ def complete_graph_case():
     return inst, connectivity_matrix(inst)
 
 
+def hub_case():
+    """Hub 4 linked to each node of the path 0-1-2-3, with R=3 and K=3.
+
+    The pair set without 1-4 comes first, but its first colouring puts 1-2
+    on channel 2, above the channel 1 of the set with 1-4; an order by
+    colouring, not by pair set, yields the set with 1-4 first.
+    """
+    b = np.zeros((5, 5), dtype=np.uint8)
+    for u, v in [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)]:
+        b[u, v] = b[v, u] = 1
+    return make_line_instance(5, R=3, K=3), b
+
+
 @settings(max_examples=200, deadline=None)
 @given(edge_config_cases())
 @example(complete_graph_case())
+@example(hub_case())
 def test_edge_configs_match_brute_force(case):
     inst, b = case
     nodes = tuple(range(len(b)))
     got = list(oracle._edge_configs(nodes, b, inst))
-    # the recursion's order (skip an edge, then ascending k) and product's
-    # are both lexicographic, so the same link set comes first
-    firsts, valid = _edge_configs_reference(nodes, b, inst.R, inst.K)
-    assert got == firsts
+    want, valid = _edge_configs_reference(
+        nodes, b, inst.R, inst.K, every=bool(inst.capacity_overrides)
+    )
+    assert got == want
     assert {_pairs(links) for links in got} == {_pairs(links) for links in valid}
 
 
@@ -449,6 +473,81 @@ def test_one_check_per_front_vector(
     front = true_pareto_front(inst, variant)
     assert front
     assert [tuple(evaluate(sol, inst, variant)) for sol in checked] == front
+
+
+def _every_routing(sol, inst):
+    """Each routing of `sol` that sends each demand site's load, sites in
+    index order, on one simple path of at most A hops to any gateway. Each
+    hop takes the lowest-channel row with room that is idle or already
+    carries flow that way; a routing where some hop has none is dropped.
+    Written without `route_flows`, so the routings do not depend on it."""
+    loads = sol.site_loads(inst)
+    sites = [j for j in range(inst.num_sites) if loads[j] > FEAS_TOL]
+    gateways = set(np.flatnonzero(sol.gateway).tolist())
+    live = sol.links[sol.L == 1]
+    cap = dict(zip(map(tuple, live.tolist()), row_capacities(inst, live)))
+    rows = {}
+    for j, l, k in sorted(cap):
+        rows.setdefault(frozenset((j, l)), []).append((j, l, k))
+
+    def paths(path):
+        if path[-1] in gateways:
+            yield path
+        if len(path) <= inst.A:
+            for pair in rows:
+                if path[-1] in pair:
+                    (w,) = pair - {path[-1]}
+                    if w not in path:
+                        yield from paths(path + [w])
+
+    def route(i, sender, flow, throughput):
+        if i == len(sites):
+            out = sol.copy()
+            out.set_links(
+                (l, j, k, 1, f) if sender.get((j, l, k)) == l else (j, l, k, 1, f)
+                for (j, l, k), f in flow.items()
+            )
+            out.F = throughput
+            yield out
+            return
+        demand = float(loads[sites[i]])
+        for path in paths([sites[i]]):
+            sender_i, flow_i = dict(sender), dict(flow)
+            for u, v in zip(path, path[1:]):
+                key = next((
+                    key for key in rows[frozenset((u, v))]
+                    if sender_i.get(key, u) == u
+                    and flow_i[key] + demand <= cap[key] + FEAS_TOL
+                ), None)
+                if key is None:
+                    break
+                sender_i[key] = u
+                flow_i[key] += demand
+            else:
+                throughput_i = throughput.copy()
+                throughput_i[path[-1]] += demand
+                yield from route(i + 1, sender_i, flow_i, throughput_i)
+
+    yield from route(0, {}, dict.fromkeys(cap, 0.0), np.zeros(inst.num_sites))
+
+
+@pytest.mark.parametrize("name", ["toy", "verify2x3"])
+def test_front_does_not_depend_on_the_router(
+    name, toy_instance, verify2x3_instance
+):
+    """Every one-path-per-site routing of every policy candidate gives the
+    front that the oracle finds by routing each candidate once with
+    `route_flows`: the oracle does not grade a router by that router."""
+    inst = {"toy": toy_instance, "verify2x3": verify2x3_instance}[name]
+    a, b = coverage_matrix(inst), connectivity_matrix(inst)
+    routed = [
+        plan
+        for sol in oracle._policy_candidates(inst, a, b)
+        for plan in _every_routing(sol, inst)
+    ]
+    for variant in ("lglb", "cov"):
+        vectors = (evaluate(plan, inst, variant) for plan in routed)
+        assert _front(vectors) == true_pareto_front(inst, variant)
 
 
 def _assemble_reference(instance, choice, aps, installed, gateways, links):
